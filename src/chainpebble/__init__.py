@@ -31,11 +31,11 @@ from .pebbler import (
 from .protocol import IdentificationServer, Prover, Verifier, run_client
 from .schedule import (
     FAMILIES,
-    bitlen,
     format_halves,
     image_deficit,
     key_equation_holds,
     make_schedule,
+    optimal_remaining,
     parity_round,
     unrounded_head,
     unrounded_optimal,

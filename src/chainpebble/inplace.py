@@ -6,7 +6,7 @@ c = 2^(k+1) - r: each set bit i is a live sub-pebbler of order i, its
 progress is c mod 2^(i+1), and its values sit in the slot block that ends at
 index i.  The slot written next by a working pebbler is always the one just
 vacated by the pebblers to its right, which is what makes a fixed array
-suffice.
+suffice.  Its frontier is a closed form in i and c mod 2^i, not a table.
 
 Two variants are provided.  The speed-2 stepper keeps k slots and hard-codes
 its two-hashes-per-pebbler budget in the stepping loop.  The optimal stepper
@@ -16,6 +16,10 @@ rule: split the countdown's bits into segments, one per working sub-pebbler
 pebbler's own bit down to just above the next working pebbler's bit; the
 budget is half the segment length, made integral by parity rounding.
 
+Storage convention: a stepper holds k+1 values only at the end of set-up,
+the extra one being the element the free round 2^k emits (speed-2's
+``_pending``); from then on at most k, as the framework's ``storage()``.
+
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 from .owf import Owf, evaluate
 from .pebbler import ExhaustedError
-from .schedule import make_schedule
+from .schedule import optimal_remaining
 
 IDLE = "idle"
 HASHING = "hashing"
@@ -85,20 +89,21 @@ def decode_states(k: int, c: int) -> list[PebblerPhase]:
     return found
 
 
-def _setup_values(owf: Owf, family: str, k: int, seed: bytes) -> list:
-    """Run the whole set-up stage: pin f^(2^k - 2^i)(seed) into slot i."""
-    y: list = [None] * k + [seed]
-    fill = k
-    gap = 0
-    for t in make_schedule(family, k):
-        for _ in range(t):
-            v = y[fill]
-            if gap == 0:
-                fill -= 1
-                gap = 1 << fill
-            y[fill] = evaluate(owf, v)
-            gap -= 1
-    return y
+def _fill(owf: Owf, z: list, m: int, gap: int, n: int) -> None:
+    """Spend n hashes on the frontier in slot m, which gap more complete.
+
+    Completed slots stay pinned; each slot started must be empty.  With m = k,
+    gap = 0 and n = 2^k - 1 on [None]*k + [seed] it runs the whole set-up.
+    """
+    for _ in range(n):
+        v = z[m]
+        if gap == 0:
+            m -= 1
+            gap = 1 << m
+            if z[m] is not None:
+                raise DecodeError("descended into an occupied slot")
+        z[m] = evaluate(owf, v)
+        gap -= 1
 
 
 def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
@@ -111,16 +116,14 @@ def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
     """
     if not 0 < c < (1 << k):
         raise ValueError("countdown must satisfy 0 < c < 2^k")
-    working = [
-        i
-        for i in range(k - 1, 0, -1)
-        if c >> i & 1 and 0 < c % (1 << i) <= 1 << (i - 1)
-    ]
-    budgets = []
-    for pos, i in enumerate(working):
-        low = working[pos + 1] + 1 if pos + 1 < len(working) else 0
-        budgets.append((i, i - low + 1))
-    return budgets
+    working, rest = [], c
+    while rest:  # set bits only, highest first; rest becomes c mod 2^i
+        i = rest.bit_length() - 1
+        rest -= 1 << i
+        if 0 < rest <= 1 << i >> 1:
+            working.append(i)
+    # each segment runs from bit i down to just above the next working bit
+    return [(i, i - j) for i, j in zip(working, working[1:] + [-1])]
 
 
 class InPlaceSpeed2:
@@ -129,8 +132,9 @@ class InPlaceSpeed2:
     Construction runs the whole set-up stage, spending 2^k - 1 hashes and
     leaving slot i-1 holding f^(2^k - 2^i)(seed) for i = 1..k.  The element
     emitted by the free first round does not fit in the k slots, so it is
-    kept as a cache that a restore recomputes with one hash from slot 0.
-    Each step() emits one chain element and reports the hashes spent.
+    kept as a cache, the (k+1)-th value held until round 2^k, that a restore
+    recomputes with one hash from slot 0.  Each step() emits one chain
+    element and reports the hashes spent.
     """
 
     variant = "speed2"
@@ -140,7 +144,8 @@ class InPlaceSpeed2:
             raise ValueError("in-place pebblers need k >= 1")
         self.owf = owf
         self.k = k
-        y = _setup_values(owf, "speed2", k, seed)
+        y: list = [None] * k + [seed]
+        _fill(owf, y, k, 0, (1 << k) - 1)
         self.z = y[1:]
         self._pending = y[0]  # first emission, recomputable as f(z[0])
         self.r = 1 << k
@@ -185,9 +190,9 @@ class InPlaceOptimal:
     """Optimal-schedule pebbler keeping k+1 value slots.
 
     Budgets come from the countdown's bit segments, parity-rounded per
-    sub-pebbler, and every value is written with the same slot-filling
-    discipline the set-up stage uses.  Slot occupancy is tracked so the
-    k+1-slot bound can be checked by measurement rather than assumed.
+    sub-pebbler; set-up and steps share one fill loop.  All k+1 slots are
+    full only after set-up: round 2^k empties slot k for good.  Occupancy
+    is tracked so the bounds can be checked by measurement, not assumed.
     """
 
     variant = "optimal"
@@ -197,24 +202,14 @@ class InPlaceOptimal:
             raise ValueError("in-place pebblers need k >= 1")
         self.owf = owf
         self.k = k
-        self.z = _setup_values(owf, "optimal", k, seed)  # all k+1 slots occupied
+        self.z = [None] * k + [seed]
+        _fill(owf, self.z, k, 0, (1 << k) - 1)  # all k+1 slots occupied
         self.r = 1 << k
         self.max_occupied = k + 1
-        self._prefix: dict[int, list[int]] = {}
 
     @property
     def exhausted(self) -> bool:
         return self.r >= 1 << (self.k + 1)
-
-    def _hashes_done(self, i: int, rho: int) -> int:
-        """Hashes an order-i sub-pebbler has spent before its local round rho."""
-        pre = self._prefix.get(i)
-        if pre is None:
-            pre = [0, 0]
-            for t in make_schedule("optimal", i):
-                pre.append(pre[-1] + t)
-            self._prefix[i] = pre
-        return pre[rho]
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
@@ -224,36 +219,20 @@ class InPlaceOptimal:
         c = (1 << (k + 1)) - self.r
         out = z[0]
         j = (c & -c).bit_length() - 1  # the emitting sub-pebbler's bit
-        if j == 0:
-            z[0] = None
-        else:
-            z[:j] = z[1:j + 1]  # its pinned values seed its children
-            z[j] = None
+        z[:j] = z[1:j + 1]  # its pinned values seed its children
+        z[j] = None
         hashes = 0
         if c < 1 << k:
             for i, doubled in segment_budgets(k, c):
-                local = c % (1 << (i + 1))
-                rho = (1 << (i + 1)) - local
-                n = ((i + rho) % 2 + doubled) // 2
+                u = c & ((1 << i) - 1)  # set-up rounds left, this one included
+                n = ((i + u) % 2 + doubled) // 2
                 if n == 0:
                     continue
-                done = self._hashes_done(i, rho)
-                if done == 0:
-                    m, gap = i, 0
-                else:
-                    rem = (1 << i) - done
-                    m = rem.bit_length() - 1
-                    gap = rem - (1 << m)
-                for _ in range(n):
-                    v = z[m]
-                    if gap == 0:
-                        m -= 1
-                        gap = 1 << m
-                        assert z[m] is None, "descended into an occupied slot"
-                    z[m] = evaluate(owf, v)
-                    gap -= 1
+                rem = optimal_remaining(i, u) + 1
+                m = rem.bit_length() - 1
+                _fill(owf, z, m, rem - (1 << m), n)
                 hashes += n
-        occupied = sum(1 for v in z if v is not None)
+        occupied = len(z) - z.count(None)
         if occupied > self.max_occupied:
             self.max_occupied = occupied
         self.r += 1
@@ -324,6 +303,5 @@ def restore(data: bytes, owf: Owf):
     state.k = k
     state.r = r
     state.z = slots
-    state.max_occupied = sum(1 for v in slots if v is not None)
-    state._prefix = {}
+    state.max_occupied = len(slots) - slots.count(None)
     return state

@@ -107,7 +107,8 @@ class Pebbler:
                 if res.output is not None:
                     out = res.output
                     emitted += 1
-            assert emitted == 1, "exactly one child emits per round"
+            if emitted != 1:
+                raise RuntimeError("exactly one child emits per round")
             self.children = [c for c in self.children if not c.exhausted]
         self.round_no += 1
         return RoundResult(r, hashes, out)

@@ -20,13 +20,6 @@ import math
 FAMILIES = ("rushing", "speed1", "speed2", "optimal")
 
 
-def bitlen(n: int) -> int:
-    """Bit length of a nonnegative integer; bitlen(0) == 0."""
-    if n < 0:
-        raise ValueError("bitlen needs n >= 0")
-    return n.bit_length()
-
-
 def make_schedule(family: str, k: int) -> list[int]:
     """Per-round budgets t_1..t_{2^k-1} for the set-up stage of order k."""
     if k < 0:
@@ -45,7 +38,7 @@ def make_schedule(family: str, k: int) -> list[int]:
             return [1]
         head = [0] * (n // 2 - 1)
         tail = [
-            ((k + r) % 2 + k + 1 - bitlen((2 * r) % (1 << bitlen(n - r)))) // 2
+            ((k + r) % 2 + k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length()) // 2
             for r in range(n // 2, n)
         ]
         return head + tail
@@ -89,10 +82,36 @@ def unrounded_optimal(k: int) -> list[int]:
     n = 1 << k
     recursive = [0] * (n // 2 - 1) + unrounded_head(k) + unrounded_tail(k)
     explicit = [0] * (n // 2 - 1) + [
-        k + 1 - bitlen((2 * r) % (1 << bitlen(n - r))) for r in range(n // 2, n)
+        k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length() for r in range(n // 2, n)
     ]
-    assert recursive == explicit, "recursive and explicit constructions disagree"
+    if recursive != explicit:
+        raise RuntimeError("recursive and explicit constructions disagree")
     return recursive
+
+
+def optimal_remaining(i: int, u: int) -> int:
+    """Sum of the last u budgets of make_schedule("optimal", i), in O(i).
+
+    Doubled and unrounded, the sum follows the head/tail recursion: with
+    q = 2^(i-2), the last q rounds are the order-(i-1) active ones raised
+    by a half, after the ones block and the raised order-(i-1) head.
+    """
+    if u > 1 << i >> 1:
+        return (1 << i) - 1  # still idle: the whole set-up is owed
+    if i < 2:
+        return u
+    h = 1 - i % 2  # parity rounding: the halved sum rounds up for even i
+    q = 1 << (i - 2)
+    while q > 1:
+        if u <= q:
+            h += u
+        elif 2 * u <= 3 * q:
+            return (h + 3 * q + 2 * u - 2) // 2
+        else:
+            h += u + 2 * q
+            u -= q
+        q >>= 1
+    return (h + 3 * u) // 2
 
 
 def parity_round(halves: list[int], k: int) -> list[int]:

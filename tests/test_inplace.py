@@ -1,6 +1,7 @@
 """In-place pebblers: bit tricks, counter decoding, and framework equivalence."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -226,6 +227,36 @@ def test_optimal_first_round_outputs_pinned_slot():
     assert out == iterate(MIX, SEED, 15) and hashes == 0
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_optimal_holds_k_values_after_setup(k):
+    # k+1 values only at the end of set-up; the extra one is emitted in
+    # round 2^k, after which slot k stays empty
+    sto = InPlaceOptimal(MIX, k, SEED)
+    assert len(sto.z) - sto.z.count(None) == k + 1
+    for _ in range(1 << k):
+        sto.step()
+        assert sto.z[k] is None, (k, sto.r)
+        assert len(sto.z) - sto.z.count(None) <= k, (k, sto.r)
+
+
+def _optimal_reversal_peak(k):
+    tracemalloc.start()
+    try:
+        sto = InPlaceOptimal(MIX, k, SEED)
+        for _ in range(1 << k):
+            sto.step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_optimal_memory_flat_in_k():
+    # set-up plus the whole reversal keeps no O(2^k) tables or lists
+    small, large = _optimal_reversal_peak(8), _optimal_reversal_peak(14)
+    assert large < 4 * 1024, large
+    assert large - small < 1024, (small, large)
+
+
 def test_inplace_rejects_order_zero():
     with pytest.raises(ValueError):
         InPlaceSpeed2(MIX, 0, SEED)
@@ -271,6 +302,21 @@ def test_restore_rejects_malformed():
     opt = save(InPlaceOptimal(MIX, 3, SEED))
     with pytest.raises(DecodeError):
         restore(opt[:6] + b"\x07" + opt[7:], MIX)
+
+
+def test_restore_flipped_presence_flag_fails_loudly():
+    # slot 2 is empty at round 45; marking it present makes the next descent
+    # land on an occupied slot, which must raise even under python -O
+    sto = InPlaceOptimal(MIX, 5, bytes(8))
+    while sto.r < 45:
+        sto.step()
+    blob = bytearray(save(sto))
+    flag = 6 + 2 * (8 + 1)  # after the header, a presence octet + 8 bytes per slot
+    assert sto.z[2] is None and blob[flag] == 0
+    blob[flag] = 1
+    tampered = restore(bytes(blob), MIX)
+    with pytest.raises(DecodeError):
+        tampered.step()
 
 
 def test_tampered_slot_changes_stream():

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from chainpebble.schedule import (
     FAMILIES,
-    bitlen,
     format_halves,
     image_deficit,
     key_equation_holds,
     make_schedule,
+    optimal_remaining,
     parity_round,
     unrounded_head,
     unrounded_optimal,
@@ -47,14 +47,6 @@ TAIL_FIXTURES = {
     7: [8, 6, 5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3,
         8, 6, 5, 5, 4, 4, 4, 4, 8, 6, 5, 5, 8, 6, 8, 8],
 }
-
-
-def test_bitlen():
-    assert bitlen(0) == 0
-    assert bitlen(7) == 3
-    assert bitlen(8) == 4
-    with pytest.raises(ValueError):
-        bitlen(-1)
 
 
 @pytest.mark.parametrize("k,want", OPTIMAL_FIXTURES.items())
@@ -113,11 +105,20 @@ def test_unrounded_fixtures():
 
 @pytest.mark.parametrize("k", range(2, 15))
 def test_recursive_equals_explicit_and_rounds_to_closed_form(k):
-    halves = unrounded_optimal(k)  # internal recursive-vs-explicit assert
+    halves = unrounded_optimal(k)  # internal recursive-vs-explicit check
     assert parity_round(halves, k) == make_schedule("optimal", k)
     # rounding moves nothing by more than one half (doubled: by more than 1)
     for r, (d, t) in enumerate(zip(halves, make_schedule("optimal", k)), 1):
         assert abs(2 * t - d) <= 1, (k, r)
+
+
+@pytest.mark.parametrize("i", range(1, 17))
+def test_optimal_remaining_matches_schedule_prefix_sums(i):
+    n = 1 << i
+    done = 0  # prefix sum over the first n - 1 - u rounds
+    for u, t in zip(range(n - 1, -1, -1), [0] + make_schedule("optimal", i)):
+        done += t
+        assert optimal_remaining(i, u) == n - 1 - done, (i, u)
 
 
 def test_parity_round_spot_values():
