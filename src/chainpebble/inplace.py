@@ -20,13 +20,20 @@ Storage convention: a stepper holds k+1 values only at the end of set-up,
 the extra one being the element the free round 2^k emits (speed-2's
 ``_pending``); from then on at most k, as the framework's ``storage()``.
 
+Widths are checked at the boundaries, not per hash through ``evaluate``:
+the seed once at construction, each one-way function output where it is
+computed (in ``_fill``, which runs set-up and optimal steps, in the
+speed-2 step loop, and for speed-2's first emission in ``restore``; all
+call ``owf.fn`` directly), and slot sizes in ``restore``.  Every value
+hashed or emitted is therefore of the function's width.
+
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.
 """
 
 from dataclasses import dataclass
 
-from .owf import Owf, evaluate
+from .owf import Owf, WidthError
 from .pebbler import ExhaustedError
 from .schedule import optimal_remaining
 
@@ -89,20 +96,38 @@ def decode_states(k: int, c: int) -> list[PebblerPhase]:
     return found
 
 
+def _wrong_width(owf: Owf, v: bytes) -> WidthError:
+    return WidthError(f"{owf.name} returned {len(v)} bytes, expected {owf.width}")
+
+
+def _check_args(owf: Owf, k: int, seed: bytes) -> None:
+    if k < 1:
+        raise ValueError("in-place pebblers need k >= 1")
+    if len(seed) != owf.width:
+        raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
+
+
 def _fill(owf: Owf, z: list, m: int, gap: int, n: int) -> None:
     """Spend n hashes on the frontier in slot m, which gap more complete.
 
     Completed slots stay pinned; each slot started must be empty.  With m = k,
     gap = 0 and n = 2^k - 1 on [None]*k + [seed] it runs the whole set-up.
+    Calls ``owf.fn`` directly and raises WidthError on any output that is not
+    of the function's width.  The other widths are checked where values
+    enter: the seed at construction, slot sizes in ``restore``.
     """
+    fn, width = owf.fn, owf.width
+    v = z[m]
     for _ in range(n):
-        v = z[m]
         if gap == 0:
             m -= 1
             gap = 1 << m
             if z[m] is not None:
                 raise DecodeError("descended into an occupied slot")
-        z[m] = evaluate(owf, v)
+        v = fn(v)
+        if len(v) != width:
+            raise _wrong_width(owf, v)
+        z[m] = v
         gap -= 1
 
 
@@ -113,6 +138,10 @@ def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
     rightmost one, highest order first.  Each budget is the length of the
     pebbler's bit segment over two; bits of idle and emitting pebblers are
     absorbed into the segment of the working pebbler to their left.
+
+    This is the reference statement of the rule: ``InPlaceOptimal.step``
+    walks the same bits inline, lowest first, and a test checks its hash
+    counts against these budgets round by round.
     """
     if not 0 < c < (1 << k):
         raise ValueError("countdown must satisfy 0 < c < 2^k")
@@ -140,8 +169,7 @@ class InPlaceSpeed2:
     variant = "speed2"
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
-        if k < 1:
-            raise ValueError("in-place pebblers need k >= 1")
+        _check_args(owf, k, seed)
         self.owf = owf
         self.k = k
         y: list = [None] * k + [seed]
@@ -172,12 +200,19 @@ class InPlaceSpeed2:
         c >>= 1
         q = i - 1
         hashes = 0
+        fn, width = owf.fn, owf.width
         while c:
-            z[q] = evaluate(owf, z[i])
-            hashes += 1
+            v = fn(z[i])
+            if len(v) != width:
+                raise _wrong_width(owf, v)
             if q:
-                z[q] = evaluate(owf, z[q])
+                v = fn(v)
+                if len(v) != width:
+                    raise _wrong_width(owf, v)
+                hashes += 2
+            else:
                 hashes += 1
+            z[q] = v
             n0, c = strip_zeros(c)
             n1, c = strip_ones(c)
             i += n0 + n1
@@ -198,8 +233,7 @@ class InPlaceOptimal:
     variant = "optimal"
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
-        if k < 1:
-            raise ValueError("in-place pebblers need k >= 1")
+        _check_args(owf, k, seed)
         self.owf = owf
         self.k = k
         self.z = [None] * k + [seed]
@@ -218,16 +252,25 @@ class InPlaceOptimal:
         k, z, owf = self.k, self.z, self.owf
         c = (1 << (k + 1)) - self.r
         out = z[0]
-        j = (c & -c).bit_length() - 1  # the emitting sub-pebbler's bit
+        low = c & -c  # the emitting sub-pebbler's bit
+        j = low.bit_length() - 1
         z[:j] = z[1:j + 1]  # its pinned values seed its children
         z[j] = None
+        # segment_budgets(k, c), walked lowest bit first; the sub-pebblers'
+        # slot blocks are disjoint, so the order they fill in does not matter
         hashes = 0
-        if c < 1 << k:
-            for i, doubled in segment_budgets(k, c):
-                u = c & ((1 << i) - 1)  # set-up rounds left, this one included
-                n = ((i + u) % 2 + doubled) // 2
-                if n == 0:
-                    continue
+        below = -1  # the last working bit below, -1 for none
+        rest = c ^ low
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = c & (low - 1)  # set-up rounds left, this one included
+            if u > low >> 1:
+                continue  # idle: holds only its seed
+            i = low.bit_length() - 1
+            n = ((i + u) % 2 + i - below) // 2
+            below = i
+            if n:
                 rem = optimal_remaining(i, u) + 1
                 m = rem.bit_length() - 1
                 _fill(owf, z, m, rem - (1 << m), n)
@@ -285,7 +328,11 @@ def restore(data: bytes, owf: Owf):
         state.r = r
         state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]
         # the cached first emission is a pure function of slot 0
-        state._pending = evaluate(owf, state.z[0]) if r == 1 << k else None
+        state._pending = None
+        if r == 1 << k:
+            state._pending = owf.fn(state.z[0])
+            if len(state._pending) != width:
+                raise _wrong_width(owf, state._pending)
         return state
     if len(body) != (k + 1) * (width + 1):
         raise DecodeError("slot area has the wrong size")

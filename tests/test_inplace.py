@@ -20,11 +20,12 @@ from chainpebble.inplace import (
     strip_ones,
     strip_zeros,
 )
-from chainpebble.owf import Owf, builtin, evaluate, iterate
+from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler
 from chainpebble.schedule import unrounded_optimal, work_sequence
 
 MIX = builtin("testmix64")
+MD5 = builtin("md5")
 SEED = bytes.fromhex("0123456789abcdef")
 
 
@@ -138,6 +139,18 @@ def test_decode_consistent_with_framework(k):
                 want = HASHING
             assert d.phase == want, (k, r, i, rho)
         p.step()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_optimal_step_walks_segment_budgets(k):
+    # step walks the countdown bits inline; segment_budgets is the reference
+    sto = InPlaceOptimal(MIX, k, SEED)
+    assert sto.step()[1] == 0  # round 2^k is free
+    for r in range((1 << k) + 1, 1 << (k + 1)):
+        c = (1 << (k + 1)) - r
+        want = sum(((i + c % (1 << i)) % 2 + doubled) // 2
+                   for i, doubled in segment_budgets(k, c))
+        assert sto.step()[1] == want, (k, r)
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -255,6 +268,43 @@ def test_optimal_memory_flat_in_k():
     small, large = _optimal_reversal_peak(8), _optimal_reversal_peak(14)
     assert large < 4 * 1024, large
     assert large - small < 1024, (small, large)
+
+
+def _widening(owf):
+    """Same width on paper, but fn returns one byte too many."""
+    return Owf(owf.name, owf.width, lambda v: owf.fn(v) + b"\x00")
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_inplace_rejects_seed_of_wrong_width(cls):
+    fn, calls = counting(MD5)
+    with pytest.raises(WidthError):
+        cls(fn, 4, bytes(15))
+    assert calls[0] == 0  # checked before any hashing
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_inplace_rejects_owf_that_changes_width_in_setup(cls):
+    with pytest.raises(WidthError):
+        cls(_widening(MD5), 4, bytes(16))
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_inplace_step_rejects_owf_that_changes_width(cls):
+    # a state built with the right function, resumed with a widening one
+    base = cls(MD5, 4, bytes(16))
+    base.step()
+    resumed = restore(save(base), _widening(MD5))
+    with pytest.raises(WidthError):
+        while True:
+            resumed.step()
+
+
+def test_restore_rejects_owf_that_changes_width():
+    # at round 2^k a speed-2 restore recomputes the first emission from slot 0
+    blob = save(InPlaceSpeed2(MD5, 4, bytes(16)))
+    with pytest.raises(WidthError):
+        restore(blob, _widening(MD5))
 
 
 def test_inplace_rejects_order_zero():
