@@ -205,12 +205,11 @@ class InPlaceSpeed2:
             v = fn(z[i])
             if len(v) != width:
                 raise _wrong_width(owf, v)
+            hashes += 1
             if q:
                 v = fn(v)
                 if len(v) != width:
                     raise _wrong_width(owf, v)
-                hashes += 2
-            else:
                 hashes += 1
             z[q] = v
             n0, c = strip_zeros(c)
