@@ -13,14 +13,21 @@ Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
 a copy), an emitted slot is freed immediately, and a pebbler whose children
 have taken over holds nothing of its own.
+
+Budgets are computed per round by ``schedule.budget``; no pebbler keeps a
+schedule list, so a whole tree holds O(k) values in O(k) live pebblers.
+Widths are checked at the boundary: the seed once at construction, and each
+one-way function output where the fill loop computes it (by calling
+``owf.fn`` directly).  Every value hashed or emitted is therefore of the
+function's width.
 """
 
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .owf import Owf, evaluate
-from .schedule import make_schedule
+from .owf import Owf, WidthError, evaluate
+from .schedule import FAMILIES, budget
 
 
 class ExhaustedError(RuntimeError):
@@ -49,8 +56,12 @@ class Pebbler:
                  child_order: str = "descending"):
         if k < 0:
             raise ValueError("order k must be >= 0")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown schedule family {family!r}")
         if child_order not in ("descending", "ascending"):
             raise ValueError("child_order must be 'descending' or 'ascending'")
+        if len(seed) != owf.width:
+            raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
         self.family = family
         self.k = k
@@ -59,9 +70,8 @@ class Pebbler:
         self.slots: Optional[list] = [None] * k + [seed]
         self.fill = k
         self.gap = 0
-        self.children: list[Pebbler] = []
+        self.children: list[Pebbler] = []  # highest order first
         self.child_order = child_order
-        self._budget = make_schedule(family, k)
 
     @property
     def exhausted(self) -> bool:
@@ -74,44 +84,64 @@ class Pebbler:
 
     def step(self) -> RoundResult:
         r = self.round_no
+        out, hashes = self._round()
+        return RoundResult(r, hashes, out)
+
+    def _round(self) -> tuple[Optional[bytes], int]:
+        """Run one round: return (output or None, hashes spent)."""
+        r = self.round_no
         if r > self.lifetime:
             raise ExhaustedError(f"pebbler of order {self.k} ended after round {self.lifetime}")
+        self.round_no = r + 1
         n = 1 << self.k
-        out = None
         if r < n:
-            hashes = self._budget[r - 1]
-            for _ in range(hashes):
-                v = self.slots[self.fill]
-                if self.gap == 0:
-                    self.fill -= 1
-                    self.gap = 1 << self.fill
-                self.slots[self.fill] = evaluate(self.owf, v)
-                self.gap -= 1
-        elif r == n:
+            hashes = budget(self.family, self.k, r)
+            if hashes:
+                self._fill(hashes)
+            return None, hashes
+        if r == n:
             out = self.slots[0]
             self.children = [
                 Pebbler(self.owf, self.family, i - 1, self.slots[i], self.child_order)
                 for i in range(self.k, 0, -1)
             ]
             self.slots = None  # hand-off: the pinned values now live in the children
-            hashes = 0
-        else:
-            live = list(self.children)
-            if self.child_order == "ascending":
-                live.reverse()
-            hashes = 0
-            emitted = 0
-            for child in live:
-                res = child.step()
-                hashes += res.hashes
-                if res.output is not None:
-                    out = res.output
-                    emitted += 1
-            if emitted != 1:
-                raise RuntimeError("exactly one child emits per round")
-            self.children = [c for c in self.children if not c.exhausted]
-        self.round_no += 1
-        return RoundResult(r, hashes, out)
+            return out, 0
+        children = self.children
+        hashes = 0
+        out = emitter = None
+        emitted = 0
+        for child in reversed(children) if self.child_order == "ascending" else children:
+            value, spent = child._round()
+            hashes += spent
+            if value is not None:
+                out, emitter = value, child
+                emitted += 1
+        if emitted != 1:
+            raise RuntimeError("exactly one child emits per round")
+        if emitter.exhausted:  # only a pebbler's last round can end it, and that round emits
+            children.remove(emitter)
+        return out, hashes
+
+    def _fill(self, hashes: int) -> None:
+        """Spend hashes on the frontier, pinning each slot as it completes.
+
+        Calls ``owf.fn`` directly and raises WidthError on any output that is
+        not of the function's width; the seed was checked at construction.
+        """
+        fn, width = self.owf.fn, self.owf.width
+        slots, fill, gap = self.slots, self.fill, self.gap
+        v = slots[fill]
+        for _ in range(hashes):
+            if gap == 0:
+                fill -= 1
+                gap = 1 << fill
+            v = fn(v)
+            if len(v) != width:
+                raise WidthError(f"{self.owf.name} returned {len(v)} bytes, expected {width}")
+            slots[fill] = v
+            gap -= 1
+        self.fill, self.gap = fill, gap
 
     def storage(self) -> int:
         """Live values held across the whole tree at the start of the coming round."""

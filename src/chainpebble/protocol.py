@@ -13,7 +13,10 @@ Wire format, one UTF-8 line per message, LF-terminated:
     client -> server:   REGISTER <k> <hex-endpoint>   then   AUTH <hex-value>
     server -> client:   OK <verified-count> | FAIL | ERR <reason>
 
-Hex is lowercase, exactly two characters per octet.  Unknown commands get
+Hex is lowercase, exactly two characters per octet.  A line may be at most
+``MAX_LINE`` bytes, LF included; a longer one gets ``ERR line-too-long``
+as soon as the server has read one byte past the limit, so a client that
+never sends LF cannot grow the server's buffer.  Unknown commands get
 ``ERR unknown-command``; any ERR closes the session.  The registration line
 is trusted as-is -- securing it is a deployment concern and must happen out
 of band.  Sessions are independent; the server may run them concurrently
@@ -28,6 +31,7 @@ from .owf import Owf, evaluate
 from .pebbler import ExhaustedError, Pebbler
 
 ENGINES = ("framework", "inplace-speed2", "inplace-optimal")
+MAX_LINE = 1024  # bytes per wire line, LF included
 
 
 class Prover:
@@ -46,13 +50,9 @@ class Prover:
             engine = "inplace-optimal" if k >= 1 else "framework"
         if engine == "framework":
             pebbler = Pebbler(owf, family, k, seed)
+            step = pebbler._round
             for _ in range((1 << k) - 1):
-                pebbler.step()  # set-up rounds emit nothing
-
-            def step() -> tuple[bytes, int]:
-                res = pebbler.step()
-                return res.output, res.hashes
-
+                step()  # set-up rounds emit nothing
         elif engine == "inplace-speed2":
             pebbler = InPlaceSpeed2(owf, k, seed)
             step = pebbler.step
@@ -117,7 +117,10 @@ class _Session(socketserver.StreamRequestHandler):
     def handle(self):
         owf = self.server.owf
         verifier = None
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE + 1):
+            if len(raw) > MAX_LINE:
+                self._send("ERR line-too-long")
+                return
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:

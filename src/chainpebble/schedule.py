@@ -2,7 +2,9 @@
 
 A pebbler of order k reverses a length-2^k chain over 2^(k+1)-1 rounds; a
 schedule fixes how many hashes it spends in each of its 2^k-1 set-up rounds,
-always summing to 2^k-1.  Four families are implemented:
+always summing to 2^k-1.  ``budget`` gives one round's budget in O(1), so a
+pebbler need not store its schedule; ``make_schedule`` lists them all.  Four
+families are implemented:
 
 - ``rushing``:  do nothing until the last set-up round, then hash flat out;
 - ``speed1``:   one hash per set-up round;
@@ -20,29 +22,33 @@ import math
 FAMILIES = ("rushing", "speed1", "speed2", "optimal")
 
 
+def budget(family: str, k: int, r: int) -> int:
+    """Budget t_r of set-up round r (1 <= r < 2^k) for order k, in O(1)."""
+    if k < 0:
+        raise ValueError("order k must be >= 0")
+    n = 1 << k
+    if not 0 < r < n:
+        raise ValueError(f"set-up round must satisfy 1 <= r < 2^k, got r={r} for k={k}")
+    if family == "optimal":
+        if r < n // 2:
+            return 0
+        return ((k + r) % 2 + k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length()) // 2
+    if family == "speed2":
+        return 0 if r < n // 2 else 2 if r < n - 1 else 1
+    if family == "speed1":
+        return 1
+    if family == "rushing":
+        return n - 1 if r == n - 1 else 0
+    raise ValueError(f"unknown schedule family {family!r}")
+
+
 def make_schedule(family: str, k: int) -> list[int]:
     """Per-round budgets t_1..t_{2^k-1} for the set-up stage of order k."""
     if k < 0:
         raise ValueError("order k must be >= 0")
-    n = 1 << k
-    if family == "rushing":
-        return [0] * (n - 2) + [n - 1] if k > 0 else []
-    if family == "speed1":
-        return [1] * (n - 1)
-    if family == "speed2":
-        return [0] * (n // 2 - 1) + [2] * (n // 2 - 1) + [1] if k > 0 else []
-    if family == "optimal":
-        if k == 0:
-            return []
-        if k == 1:
-            return [1]
-        head = [0] * (n // 2 - 1)
-        tail = [
-            ((k + r) % 2 + k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length()) // 2
-            for r in range(n // 2, n)
-        ]
-        return head + tail
-    raise ValueError(f"unknown schedule family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown schedule family {family!r}")
+    return [budget(family, k, r) for r in range(1, 1 << k)]
 
 
 def unrounded_head(k: int) -> list[int]:

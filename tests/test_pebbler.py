@@ -1,11 +1,12 @@
 """Framework pebblers against the brute-force oracle and the golden columns."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainpebble.owf import builtin, iterate
+from chainpebble.owf import Owf, WidthError, builtin, iterate
 from chainpebble.pebbler import (
     ExhaustedError,
     Pebbler,
@@ -18,6 +19,7 @@ from chainpebble.pebbler import (
 from chainpebble.schedule import FAMILIES, work_sequence
 
 MIX = builtin("testmix64")
+MD5 = builtin("md5")
 SEED = bytes.fromhex("0123456789abcdef")
 
 # per-round storage columns for order 4, one per family (start-of-round counts)
@@ -170,3 +172,80 @@ def test_trace_serialization():
     parsed = [json.loads(line) for line in trace_jsonl_lines(rows)]
     assert parsed[0] == {"round": 1, "hashes": 0, "storage": 1, "output": None}
     assert parsed[3]["output"] == iterate(MIX, SEED, 3).hex()
+
+
+def test_round_without_an_emitter_fails_loudly():
+    # a runtime check, not an assert: it must also fire under python -O
+    p = Pebbler(MIX, "optimal", 3, SEED)
+    for _ in range(1 << 3):
+        p.step()
+    p.children.clear()
+    with pytest.raises(RuntimeError):
+        p.step()
+
+
+def _framework_lifetime_peak(k):
+    tracemalloc.start()
+    try:
+        p = Pebbler(MIX, "optimal", k, SEED)
+        for _ in range(p.lifetime):
+            p.step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_framework_memory_flat_in_k():
+    # budgets come per round, so no pebbler keeps an O(2^k) schedule list
+    small, large = _framework_lifetime_peak(8), _framework_lifetime_peak(14)
+    assert large < 8 * 1024, large
+    assert large - small < 4 * 1024, (small, large)
+
+
+def _counting(owf):
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return owf.fn(v)
+
+    return Owf(owf.name, owf.width, fn), calls
+
+
+def _widening_after(owf, n):
+    """Same width on paper, but after n calls fn returns one byte too many."""
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        out = owf.fn(v)
+        return out + b"\x00" if calls[0] > n else out
+
+    return Owf(owf.name, owf.width, fn)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_pebbler_rejects_seed_of_wrong_width(k):
+    fn, calls = _counting(MD5)
+    with pytest.raises(WidthError):
+        Pebbler(fn, "optimal", k, bytes(15))
+    assert calls[0] == 0  # checked before any hashing
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pebbler_rejects_owf_that_changes_width_in_setup(family):
+    p = Pebbler(_widening_after(MD5, 0), family, 4, bytes(16))
+    with pytest.raises(WidthError):
+        for _ in range((1 << 4) - 1):
+            p.step()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pebbler_rejects_owf_that_changes_width_in_reversal(family):
+    # set-up spends 2^k - 1 hashes honestly; the first reversal hash widens
+    p = Pebbler(_widening_after(MD5, (1 << 4) - 1), family, 4, bytes(16))
+    for _ in range((1 << 4) - 1):
+        p.step()
+    with pytest.raises(WidthError):
+        while True:
+            p.step()

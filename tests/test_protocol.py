@@ -9,6 +9,7 @@ from chainpebble.owf import builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, reverse_oracle
 from chainpebble.protocol import (
     ENGINES,
+    MAX_LINE,
     IdentificationServer,
     Prover,
     Verifier,
@@ -158,6 +159,35 @@ def test_wire_fail_keeps_session_alive(server):
         f"AUTH {good.hex()}",
     ])
     assert replies == ["OK 0", "FAIL", "OK 1"]
+
+
+def _send_raw(port, data):
+    """Send bytes as they are and return the server's first reply line."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(data)
+        return conn.makefile("rb").readline().decode().strip()
+
+
+def test_wire_line_at_the_limit_is_accepted(server):
+    port = server.server_address[1]
+    prover = Prover(MIX, 2, SEED)
+    line = f"REGISTER 2 {prover.endpoint.hex()}".ljust(MAX_LINE - 1) + "\n"
+    assert len(line) == MAX_LINE
+    assert _send_raw(port, line.encode()) == "OK 0"
+
+
+def test_wire_rejects_line_over_the_limit(server):
+    port = server.server_address[1]
+    prover = Prover(MIX, 2, SEED)
+    line = f"REGISTER 2 {prover.endpoint.hex()}".ljust(MAX_LINE) + "\n"
+    assert _send_raw(port, line.encode()) == "ERR line-too-long"
+
+
+def test_wire_rejects_line_that_never_ends(server):
+    # no LF ever comes and the connection stays open: the server must answer
+    # once it has read one byte past the limit, not buffer without bound
+    port = server.server_address[1]
+    assert _send_raw(port, b"A" * (MAX_LINE + 1)) == "ERR line-too-long"
 
 
 def test_client_run_with_tamper_and_recovery(server):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from chainpebble.schedule import (
     FAMILIES,
+    budget,
     format_halves,
     image_deficit,
     key_equation_holds,
@@ -110,6 +111,45 @@ def test_recursive_equals_explicit_and_rounds_to_closed_form(k):
     # rounding moves nothing by more than one half (doubled: by more than 1)
     for r, (d, t) in enumerate(zip(halves, make_schedule("optimal", k)), 1):
         assert abs(2 * t - d) <= 1, (k, r)
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_optimal_budget_is_rounded_unrounded_schedule(k):
+    want = parity_round(unrounded_optimal(k), k)
+    assert [budget("optimal", k, r) for r in range(1, 1 << k)] == want
+
+
+def _literal_schedule(family, k):
+    """The simple families as whole lists, straight from their definitions."""
+    n = 1 << k
+    if k == 0:
+        return []
+    if family == "rushing":
+        return [0] * (n - 2) + [n - 1]
+    if family == "speed1":
+        return [1] * (n - 1)
+    return [0] * (n // 2 - 1) + [2] * (n // 2 - 1) + [1]  # speed2
+
+
+@pytest.mark.parametrize("family", ["rushing", "speed1", "speed2"])
+@pytest.mark.parametrize("k", range(13))
+def test_simple_budgets_match_literal_definitions(family, k):
+    want = _literal_schedule(family, k)
+    assert [budget(family, k, r) for r in range(1, 1 << k)] == want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_budget_rejects_rounds_outside_setup(family):
+    for k, r in [(0, 1), (3, 0), (3, 8), (3, -1), (-1, 1)]:
+        with pytest.raises(ValueError):
+            budget(family, k, r)
+
+
+def test_budget_rejects_unknown_family():
+    with pytest.raises(ValueError):
+        budget("fibonacci", 3, 5)
+    with pytest.raises(ValueError):
+        make_schedule("fibonacci", 0)
 
 
 @pytest.mark.parametrize("i", range(1, 17))
