@@ -9,11 +9,17 @@ bounds max(k+1, 2k-2), k+1, k-1 and ceil(k/2).
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from chainpebble.cli import default_seed
-from chainpebble.owf import builtin
-from chainpebble.pebbler import run_trace
-from chainpebble.schedule import FAMILIES
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))  # run from a checkout without installing
+
+from chainpebble.cli import default_seed  # noqa: E402
+from chainpebble.owf import builtin  # noqa: E402
+from chainpebble.pebbler import run_trace  # noqa: E402
+from chainpebble.schedule import FAMILIES  # noqa: E402
 
 
 def print_panel(owf, family, k, seed):

@@ -15,6 +15,9 @@ rule: split the countdown's bits into segments, one per working sub-pebbler
 (ignoring the rightmost, which is emitting), each segment running from the
 pebbler's own bit down to just above the next working pebbler's bit; the
 budget is half the segment length, made integral by parity rounding.
+A round visits only the working sub-pebblers: a set bit i (above the
+emitter's) works exactly when bit i-1 is clear or bit i-1 is the emitter's,
+so one mask of the countdown picks them out and idle pebblers cost nothing.
 
 Storage convention: a stepper holds k+1 values only at the end of set-up,
 the extra one being the element the free round 2^k emits (speed-2's
@@ -28,7 +31,11 @@ call ``owf.fn`` directly), and slot sizes in ``restore``.  Every value
 hashed or emitted is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
-reproduces the remaining output and hash-count streams exactly.
+reproduces the remaining output and hash-count streams exactly.  The
+steppers hold nothing else either (``__slots__``, no ``__dict__``).  A
+restored optimal state whose presence flags lie raises DecodeError when a
+step would emit an empty slot, hash from one, or descend into an occupied
+one.
 """
 
 from dataclasses import dataclass
@@ -110,7 +117,8 @@ def _check_args(owf: Owf, k: int, seed: bytes) -> None:
 def _fill(owf: Owf, z: list, m: int, gap: int, n: int) -> None:
     """Spend n hashes on the frontier in slot m, which gap more complete.
 
-    Completed slots stay pinned; each slot started must be empty.  With m = k,
+    Completed slots stay pinned; slot m must hold a value and each slot
+    started must be empty, else DecodeError (a restored state lied).  With m = k,
     gap = 0 and n = 2^k - 1 on [None]*k + [seed] it runs the whole set-up.
     Calls ``owf.fn`` directly and raises WidthError on any output that is not
     of the function's width.  The other widths are checked where values
@@ -118,6 +126,8 @@ def _fill(owf: Owf, z: list, m: int, gap: int, n: int) -> None:
     """
     fn, width = owf.fn, owf.width
     v = z[m]
+    if v is None:
+        raise DecodeError("hashing from an empty slot")
     for _ in range(n):
         if gap == 0:
             m -= 1
@@ -167,6 +177,7 @@ class InPlaceSpeed2:
     """
 
     variant = "speed2"
+    __slots__ = ("owf", "k", "z", "_pending", "r")
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
         _check_args(owf, k, seed)
@@ -230,6 +241,7 @@ class InPlaceOptimal:
     """
 
     variant = "optimal"
+    __slots__ = ("owf", "k", "z", "r", "max_occupied")
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
         _check_args(owf, k, seed)
@@ -250,22 +262,24 @@ class InPlaceOptimal:
             raise ExhaustedError("in-place optimal pebbler is exhausted")
         k, z, owf = self.k, self.z, self.owf
         c = (1 << (k + 1)) - self.r
-        out = z[0]
         low = c & -c  # the emitting sub-pebbler's bit
         j = low.bit_length() - 1
-        z[:j] = z[1:j + 1]  # its pinned values seed its children
-        z[j] = None
-        # segment_budgets(k, c), walked lowest bit first; the sub-pebblers'
-        # slot blocks are disjoint, so the order they fill in does not matter
+        out = z[0]
+        if out is None:
+            raise DecodeError("emitting an empty slot")
+        del z[0]  # the emitter's pinned values shift down to seed its children
+        z.insert(j, None)
+        # segment_budgets(k, c), walked lowest bit first over the working
+        # sub-pebblers only: set bits whose next-lower bit is clear, plus the
+        # bit just above the emitter.  Their slot blocks are disjoint, so the
+        # order they fill in does not matter.
         hashes = 0
         below = -1  # the last working bit below, -1 for none
-        rest = c ^ low
-        while rest:
-            low = rest & -rest
-            rest ^= low
+        work = (c ^ low) & (~(c << 1) | (low << 1))
+        while work:
+            low = work & -work
+            work ^= low
             u = c & (low - 1)  # set-up rounds left, this one included
-            if u > low >> 1:
-                continue  # idle: holds only its seed
             i = low.bit_length() - 1
             n = ((i + u) % 2 + i - below) // 2
             below = i

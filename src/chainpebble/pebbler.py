@@ -52,6 +52,9 @@ class TraceRow:
 class Pebbler:
     """Single-owner state machine; each step() call runs one round."""
 
+    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "slots", "fill", "gap",
+                 "children", "child_order")
+
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes,
                  child_order: str = "descending"):
         if k < 0:

@@ -42,6 +42,9 @@ class Prover:
     most recent release (at most ceil(k/2) for optimal, k-1 for speed-2).
     """
 
+    __slots__ = ("owf", "n", "released", "last_hashes", "pebbler", "_step", "endpoint",
+                 "_pending", "_pending_hashes")
+
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str = "optimal"):
         if k < 0:

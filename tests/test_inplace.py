@@ -314,6 +314,24 @@ def test_inplace_rejects_order_zero():
         InPlaceOptimal(MIX, 0, SEED)
 
 
+@pytest.mark.parametrize("cls,names", [
+    (InPlaceSpeed2, {"owf", "k", "z", "_pending", "r"}),
+    (InPlaceOptimal, {"owf", "k", "z", "r", "max_occupied"}),
+])
+def test_inplace_state_is_counter_plus_slots(cls, names):
+    # no __dict__, so no table can hide beside the counter and the slots
+    fresh = cls(MIX, 6, SEED)
+    fresh.step()
+    for state in (fresh, restore(save(fresh), MIX)):
+        assert not hasattr(state, "__dict__")
+        held = {n for c in type(state).__mro__ for n in getattr(c, "__slots__", ())}
+        assert held == names
+        for name in names:
+            getattr(state, name)  # every slot is set
+        with pytest.raises(AttributeError):
+            state.table = []
+
+
 # -- serialization ------------------------------------------------------------
 
 def test_save_layout_sizes():
@@ -367,6 +385,35 @@ def test_restore_flipped_presence_flag_fails_loudly():
     tampered = restore(bytes(blob), MIX)
     with pytest.raises(DecodeError):
         tampered.step()
+
+
+def test_restore_any_flipped_presence_flag_fails_loudly_or_changes_nothing():
+    # every boundary, every slot, both directions (present -> absent and
+    # absent -> present with a zero-filled value): the tampered state must
+    # raise DecodeError or reproduce the clean stream, never emit None or
+    # die with TypeError
+    k = 5
+    base = InPlaceOptimal(MIX, k, SEED)
+    blobs = [save(base)]
+    stream = []
+    for _ in range(1 << k):
+        stream.append(base.step())
+        blobs.append(save(base))
+    raised = {0: 0, 1: 0}  # by the flag's original value
+    for at, blob in enumerate(blobs[:-1]):
+        for s in range(k + 1):
+            tampered = bytearray(blob)
+            flag = 6 + s * (MIX.width + 1)
+            was = tampered[flag]
+            tampered[flag] ^= 1
+            st2 = restore(bytes(tampered), MIX)
+            try:
+                remaining = [st2.step() for _ in range((1 << k) - at)]
+            except DecodeError:
+                raised[was] += 1
+                continue
+            assert remaining == stream[at:], (at, s)
+    assert raised[0] and raised[1]
 
 
 def test_tampered_slot_changes_stream():

@@ -5,7 +5,13 @@ the public algorithm description, so the package's own hashing path never
 vouches for itself.
 """
 
+import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -67,6 +73,36 @@ def test_md5_matches_independent_oracle():
     for _ in range(5):
         assert evaluate(md5, v) == ref_md5(v)
         v = ref_md5(v)
+
+
+def test_md5_agrees_with_hashlib():
+    md5 = builtin("md5")
+    rng = random.Random(5)
+    for _ in range(4000):
+        x = rng.randbytes(16)
+        assert md5.fn(x) == hashlib.md5(x).digest()
+
+
+def test_md5_falls_back_to_hashlib_without_builtin_module():
+    # an interpreter built without _md5: the package must still import and
+    # md5 must come from hashlib with the same digests
+    probe = (
+        "import sys\n"
+        "sys.modules['_md5'] = None\n"
+        "import hashlib, random\n"
+        "import chainpebble\n"
+        "from chainpebble import owf\n"
+        "rng = random.Random(5)\n"
+        "xs = [rng.randbytes(16) for _ in range(500)]\n"
+        "md5 = owf.builtin('md5')\n"
+        "print(owf._md5 is hashlib.md5, all(md5.fn(x) == hashlib.md5(x).digest() for x in xs))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 
 def test_md5_width_and_hex_convention():
