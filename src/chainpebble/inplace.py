@@ -6,7 +6,9 @@ c = 2^(k+1) - r: each set bit i is a live sub-pebbler of order i, its
 progress is c mod 2^(i+1), and its values sit in the slot block that ends at
 index i.  The slot written next by a working pebbler is always the one just
 vacated by the pebblers to its right, which is what makes a fixed array
-suffice.  Its frontier is a closed form in i and c mod 2^i, not a table.
+suffice.  Its frontier is a closed form in i and c mod 2^i, evaluated
+in O(1) inside the step (``schedule.optimal_remaining`` states it), not a
+table.
 
 Two variants are provided.  The speed-2 stepper keeps k slots and hard-codes
 its two-hashes-per-pebbler budget in the stepping loop.  The optimal stepper
@@ -22,27 +24,33 @@ so one mask of the countdown picks them out and idle pebblers cost nothing.
 Storage convention: a stepper holds k+1 values only at the end of set-up,
 the extra one being the element the free round 2^k emits (speed-2's
 ``_pending``); from then on at most k, as the framework's ``storage()``.
+The steppers do not count their occupancy: a caller that wants it reads
+the slots between steps, so a round pays only for its hashes, its bit walk
+and its checks.
 
-Widths are checked at the boundaries, not per hash through ``evaluate``:
-the seed once at construction, each one-way function output where it is
-computed (in ``_fill``, which runs set-up and optimal steps, in the
-speed-2 step loop, and for speed-2's first emission in ``restore``; all
-call ``owf.fn`` directly), and slot sizes in ``restore``.  Every value
-hashed or emitted is therefore of the function's width.
+Every check raises (none is an ``assert``, which ``python -O`` strips)
+and sits where its value enters or is first used.  Exhaustion is read off
+the countdown each step computes anyway (c <= 0).  Widths are checked at
+the boundaries, not per hash through ``evaluate``: the seed once at
+construction, each one-way function output where it is computed (in
+``_fill``, which runs set-up and optimal steps, in the speed-2 step loop,
+and for speed-2's first emission in ``restore``; all call ``owf.fn``
+directly), and slot sizes in ``restore``.  Every value hashed or emitted
+is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The
-steppers hold nothing else either (``__slots__``, no ``__dict__``).  A
-restored optimal state whose presence flags lie raises DecodeError when a
-step would emit an empty slot, hash from one, or descend into an occupied
-one.
+steppers hold nothing else either (``__slots__``, no ``__dict__``).
+``restore`` checks the header, the counter's range, the slot area's size
+and the presence flags; a restored optimal state whose flags lie raises
+DecodeError when a step would emit an empty slot (in ``step``), hash from
+one or descend into an occupied one (both in ``_fill``).
 """
 
 from dataclasses import dataclass
 
 from .owf import Owf, WidthError
 from .pebbler import ExhaustedError
-from .schedule import optimal_remaining
 
 IDLE = "idle"
 HASHING = "hashing"
@@ -195,22 +203,22 @@ class InPlaceSpeed2:
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
-        if self.exhausted:
+        k, z = self.k, self.z
+        c = (2 << k) - self.r
+        if c <= 0:
             raise ExhaustedError("in-place speed-2 pebbler is exhausted")
-        k, z, owf = self.k, self.z, self.owf
-        if self.r == 1 << k:
+        if c == 1 << k:
             out = self._pending
             self._pending = None
             self.r += 1
             return out, 0
         out = z[0]
-        c = (1 << (k + 1)) - self.r
-        i, c = strip_zeros(c)
-        z[:i] = z[1:i + 1]  # the emitter's pinned values seed its children
-        i += 1
-        c >>= 1
+        i = (c & -c).bit_length()  # one above the emitter's bit
+        z[:i - 1] = z[1:i]  # the emitter's pinned values seed its children
+        c >>= i
         q = i - 1
         hashes = 0
+        owf = self.owf
         fn, width = owf.fn, owf.width
         while c:
             v = fn(z[i])
@@ -223,9 +231,12 @@ class InPlaceSpeed2:
                     raise _wrong_width(owf, v)
                 hashes += 1
             z[q] = v
-            n0, c = strip_zeros(c)
-            n1, c = strip_ones(c)
-            i += n0 + n1
+            # strip_zeros then strip_ones: skip to the first clear bit above
+            # the lowest run of set bits
+            n = c + (c & -c)
+            n = (n & -n).bit_length() - 1
+            c >>= n
+            i += n
             q = i
         self.r += 1
         return out, hashes
@@ -237,11 +248,13 @@ class InPlaceOptimal:
     Budgets come from the countdown's bit segments, parity-rounded per
     sub-pebbler; set-up and steps share one fill loop.  All k+1 slots are
     full only after set-up: round 2^k empties slot k for good.  Occupancy
-    is tracked so the bounds can be checked by measurement, not assumed.
+    is not tracked here, so a round pays nothing for it: it is read off the
+    slots from outside (``len(z) - z.count(None)``), which is how the tests
+    check the bounds by measurement.
     """
 
     variant = "optimal"
-    __slots__ = ("owf", "k", "z", "r", "max_occupied")
+    __slots__ = ("owf", "k", "z", "r")
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
         _check_args(owf, k, seed)
@@ -250,7 +263,6 @@ class InPlaceOptimal:
         self.z = [None] * k + [seed]
         _fill(owf, self.z, k, 0, (1 << k) - 1)  # all k+1 slots occupied
         self.r = 1 << k
-        self.max_occupied = k + 1
 
     @property
     def exhausted(self) -> bool:
@@ -258,10 +270,10 @@ class InPlaceOptimal:
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
-        if self.exhausted:
+        k, z = self.k, self.z
+        c = (2 << k) - self.r
+        if c <= 0:
             raise ExhaustedError("in-place optimal pebbler is exhausted")
-        k, z, owf = self.k, self.z, self.owf
-        c = (1 << (k + 1)) - self.r
         low = c & -c  # the emitting sub-pebbler's bit
         j = low.bit_length() - 1
         out = z[0]
@@ -284,13 +296,16 @@ class InPlaceOptimal:
             n = ((i + u) % 2 + i - below) // 2
             below = i
             if n:
-                rem = optimal_remaining(i, u) + 1
+                # rem = optimal_remaining(i, u) + 1 in the closed form that
+                # schedule.optimal_remaining states, with u reused for
+                # 2^bitlen(u) - u so that no extra int stays live
+                b = u.bit_length()
+                u = (1 << b) - u
+                m = (u - 1).bit_length()
+                rem = (((i + 3 - b) << b) + u * (m - i) - (1 << m) + 1 - i % 2) >> 1
                 m = rem.bit_length() - 1
-                _fill(owf, z, m, rem - (1 << m), n)
+                _fill(self.owf, z, m, rem - (1 << m), n)
                 hashes += n
-        occupied = len(z) - z.count(None)
-        if occupied > self.max_occupied:
-            self.max_occupied = occupied
         self.r += 1
         return out, hashes
 
@@ -363,5 +378,4 @@ def restore(data: bytes, owf: Owf):
     state.k = k
     state.r = r
     state.z = slots
-    state.max_occupied = len(slots) - slots.count(None)
     return state

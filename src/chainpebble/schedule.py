@@ -96,28 +96,20 @@ def unrounded_optimal(k: int) -> list[int]:
 
 
 def optimal_remaining(i: int, u: int) -> int:
-    """Sum of the last u budgets of make_schedule("optimal", i), in O(i).
+    """Sum of the last u budgets of make_schedule("optimal", i), in O(1).
 
-    Doubled and unrounded, the sum follows the head/tail recursion: with
-    q = 2^(i-2), the last q rounds are the order-(i-1) active ones raised
-    by a half, after the ones block and the raised order-(i-1) head.
+    Doubled and unrounded, the s-th last budget is i+1 when s is a power of
+    two, else i - bitlen(2^bitlen(s) - s).  Summing bit lengths in closed
+    form gives, with b = bitlen(u), w = 2^b - u and m = bitlen(w - 1), the
+    doubled sum (i+3-b)*2^b + w*(m-i) - 2^m - 2, which parity rounding
+    halves up for even i and down for odd i.
     """
     if u > 1 << i >> 1:
         return (1 << i) - 1  # still idle: the whole set-up is owed
-    if i < 2:
-        return u
-    h = 1 - i % 2  # parity rounding: the halved sum rounds up for even i
-    q = 1 << (i - 2)
-    while q > 1:
-        if u <= q:
-            h += u
-        elif 2 * u <= 3 * q:
-            return (h + 3 * q + 2 * u - 2) // 2
-        else:
-            h += u + 2 * q
-            u -= q
-        q >>= 1
-    return (h + 3 * u) // 2
+    b = u.bit_length()
+    w = (1 << b) - u
+    m = (w - 1).bit_length()
+    return (((i + 3 - b) << b) + w * (m - i) - (1 << m) - 1 - i % 2) >> 1
 
 
 def parity_round(halves: list[int], k: int) -> list[int]:

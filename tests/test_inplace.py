@@ -22,6 +22,7 @@ from chainpebble.inplace import (
 )
 from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler
+from chainpebble.protocol import Verifier
 from chainpebble.schedule import unrounded_optimal, work_sequence
 
 MIX = builtin("testmix64")
@@ -39,6 +40,13 @@ def reversal_stream(family, k, seed=SEED, owf=MIX):
         res = p.step()
         pairs.append((res.output, res.hashes))
     return pairs
+
+
+def _occupied(state):
+    """Values a stepper holds, read from outside: its filled slots plus
+    speed-2's cached first emission."""
+    held = len(state.z) - state.z.count(None)
+    return held + (getattr(state, "_pending", None) is not None)
 
 
 def counting(owf):
@@ -227,10 +235,14 @@ def test_speed2_slot_handoff_at_round_664():
 @pytest.mark.parametrize("k", range(1, 11))
 def test_optimal_equivalence(k):
     sto = InPlaceOptimal(MIX, k, SEED)
-    got = [sto.step() for _ in range(1 << k)]
+    most = _occupied(sto)  # after set-up
+    got = []
+    for _ in range(1 << k):
+        got.append(sto.step())
+        most = max(most, _occupied(sto))
     assert got == reversal_stream("optimal", k)
     assert [h for _, h in got] == [0] + work_sequence("optimal", k)
-    assert sto.max_occupied == k + 1
+    assert most == k + 1
 
 
 def test_optimal_first_round_outputs_pinned_slot():
@@ -316,7 +328,7 @@ def test_inplace_rejects_order_zero():
 
 @pytest.mark.parametrize("cls,names", [
     (InPlaceSpeed2, {"owf", "k", "z", "_pending", "r"}),
-    (InPlaceOptimal, {"owf", "k", "z", "r", "max_occupied"}),
+    (InPlaceOptimal, {"owf", "k", "z", "r"}),
 ])
 def test_inplace_state_is_counter_plus_slots(cls, names):
     # no __dict__, so no table can hide beside the counter and the slots
@@ -440,3 +452,23 @@ def test_state_only_random_boundaries(cls, max_k):
             st2 = restore(blobs[at], MIX)
             remaining = [st2.step() for _ in range((1 << k) - at)]
             assert remaining == stream[at:], (k, at)
+
+
+# -- at scale -----------------------------------------------------------------
+
+@pytest.mark.parametrize("cls,family", [(InPlaceSpeed2, "speed2"), (InPlaceOptimal, "optimal")])
+def test_inplace_reversal_at_k16(cls, family):
+    # a reversal of order 16 meets every frontier (i, u) with i <= 15; the
+    # Verifier relation checks each release with one hash, holding no oracle
+    k = 16
+    state = cls(MIX, k, SEED)
+    assert _occupied(state) <= k + 1
+    verifier = Verifier(MIX, iterate(MIX, SEED, 1 << k))
+    hashes = []
+    for _ in range(1 << k):
+        out, h = state.step()
+        assert verifier.check(out), state.r
+        hashes.append(h)
+        assert _occupied(state) <= k, state.r
+    assert out == SEED
+    assert hashes == [0] + work_sequence(family, k)
