@@ -9,13 +9,17 @@ round each per parent round) so that exactly one of them emits per round.
 The net effect: the chain seed, f(seed), ..., f^(2^k-1)(seed) comes out in
 reverse, one element per round over the last 2^k rounds.
 
+The tree is kept flat: ``Pebbler.children`` is the frontier of runs (the
+sub-pebblers still holding values), highest order first.  A run at its
+hand-off is replaced in place by its children; stepping the frontier
+reversed reverses the children at every level.
+
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
-a copy), an emitted slot is freed immediately, and a pebbler whose children
-have taken over holds nothing of its own.
+a copy), and an emitted slot is freed immediately.
 
-Budgets are computed per round by ``schedule.budget``; no pebbler keeps a
-schedule list, so a whole tree holds O(k) values in O(k) live pebblers.
+Budgets are computed per round by ``schedule.budget``; no run keeps a
+schedule list, so a whole tree holds O(k) values in at most max(k, 1) runs.
 Widths are checked at the boundary: the seed once at construction, and each
 one-way function output where the fill loop computes it (by calling
 ``owf.fn`` directly).  Every value hashed or emitted is therefore of the
@@ -49,11 +53,23 @@ class TraceRow:
     output: Optional[bytes]
 
 
+class _Run:
+    """A live sub-pebbler: its order, local round, slots and fill frontier."""
+
+    __slots__ = ("k", "round_no", "slots", "fill", "gap")
+
+    def __init__(self, k: int, seed: bytes, round_no: int = 1):
+        self.k = k
+        self.round_no = round_no
+        self.slots = [None] * k + [seed]
+        self.fill = k
+        self.gap = 0
+
+
 class Pebbler:
     """Single-owner state machine; each step() call runs one round."""
 
-    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "slots", "fill", "gap",
-                 "children", "child_order")
+    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "child_order")
 
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes,
                  child_order: str = "descending"):
@@ -70,10 +86,7 @@ class Pebbler:
         self.k = k
         self.lifetime = (1 << (k + 1)) - 1
         self.round_no = 1
-        self.slots: Optional[list] = [None] * k + [seed]
-        self.fill = k
-        self.gap = 0
-        self.children: list[Pebbler] = []  # highest order first
+        self.children = [_Run(k, seed, 1 << k)]  # frontier; the root run waits at its hand-off
         self.child_order = child_order
 
     @property
@@ -82,8 +95,8 @@ class Pebbler:
 
     @property
     def redundant(self) -> bool:
-        """True once the children have taken over all stored values."""
-        return self.slots is None
+        """True once the children have taken over all stored values (after round 2^k)."""
+        return self.round_no > 1 << self.k
 
     def step(self) -> RoundResult:
         r = self.round_no
@@ -93,47 +106,43 @@ class Pebbler:
     def _round(self) -> tuple[Optional[bytes], int]:
         """Run one round: return (output or None, hashes spent)."""
         r = self.round_no
+        if r < 1 << self.k:  # the root's own set-up: one run, one budget, nothing emits
+            self.round_no = r + 1
+            hashes = budget(self.family, self.k, r)
+            if hashes:
+                self._fill(self.children[0], hashes)
+            return None, hashes
         if r > self.lifetime:
             raise ExhaustedError(f"pebbler of order {self.k} ended after round {self.lifetime}")
         self.round_no = r + 1
-        n = 1 << self.k
-        if r < n:
-            hashes = budget(self.family, self.k, r)
-            if hashes:
-                self._fill(hashes)
-            return None, hashes
-        if r == n:
-            out = self.slots[0]
-            self.children = [
-                Pebbler(self.owf, self.family, i - 1, self.slots[i], self.child_order)
-                for i in range(self.k, 0, -1)
-            ]
-            self.slots = None  # hand-off: the pinned values now live in the children
-            return out, 0
-        children = self.children
-        hashes = 0
-        out = emitter = None
-        emitted = 0
-        for child in reversed(children) if self.child_order == "ascending" else children:
-            value, spent = child._round()
-            hashes += spent
-            if value is not None:
-                out, emitter = value, child
-                emitted += 1
-        if emitted != 1:
-            raise RuntimeError("exactly one child emits per round")
-        if emitter.exhausted:  # only a pebbler's last round can end it, and that round emits
-            children.remove(emitter)
+        frontier, family = self.children, self.family
+        hashes, emitter = 0, None
+        for run in reversed(frontier) if self.child_order == "ascending" else frontier:
+            q = run.round_no
+            run.round_no = q + 1
+            if q < 1 << run.k:
+                spent = budget(family, run.k, q)
+                if spent:
+                    self._fill(run, spent)
+                    hashes += spent
+            elif emitter is None:
+                emitter = run
+            else:
+                raise RuntimeError("exactly one run hands off per round")
+        if emitter is None:
+            raise RuntimeError("exactly one run hands off per round")
+        out = emitter.slots[0]
+        if out is None:
+            raise RuntimeError("a run reached its hand-off with its set-up unfinished")
+        i = frontier.index(emitter)
+        frontier[i:i + 1] = [_Run(j - 1, emitter.slots[j]) for j in range(emitter.k, 0, -1)]
         return out, hashes
 
-    def _fill(self, hashes: int) -> None:
-        """Spend hashes on the frontier, pinning each slot as it completes.
-
-        Calls ``owf.fn`` directly and raises WidthError on any output that is
-        not of the function's width; the seed was checked at construction.
-        """
+    def _fill(self, run: _Run, hashes: int) -> None:
+        """Spend hashes on the run's frontier, pinning each slot as it completes;
+        raise WidthError on any ``owf.fn`` output not of the function's width."""
         fn, width = self.owf.fn, self.owf.width
-        slots, fill, gap = self.slots, self.fill, self.gap
+        slots, fill, gap = run.slots, run.fill, run.gap
         v = slots[fill]
         for _ in range(hashes):
             if gap == 0:
@@ -144,26 +153,17 @@ class Pebbler:
                 raise WidthError(f"{self.owf.name} returned {len(v)} bytes, expected {width}")
             slots[fill] = v
             gap -= 1
-        self.fill, self.gap = fill, gap
+        run.fill, run.gap = fill, gap
 
     def storage(self) -> int:
-        """Live values held across the whole tree at the start of the coming round."""
-        if self.exhausted:
-            return 0
-        if self.slots is None:
-            return sum(c.storage() for c in self.children)
-        return sum(1 for v in self.slots if v is not None)
+        """Live values held across the frontier at the start of the coming round."""
+        return sum(len(run.slots) - run.slots.count(None) for run in self.children)
 
     def live_pebblers(self) -> list[tuple[int, int]]:
-        """(order, local round) of every live descendant, highest order first."""
-        if self.exhausted:
-            return []
-        if self.slots is not None:
+        """(order, local round) of every run on the frontier, highest order first."""
+        if not self.redundant:
             return [(self.k, self.round_no)]
-        found: list[tuple[int, int]] = []
-        for child in self.children:
-            found.extend(child.live_pebblers())
-        return found
+        return [(run.k, run.round_no) for run in self.children]
 
 
 def reverse_oracle(owf: Owf, k: int, seed: bytes) -> list[bytes]:

@@ -17,10 +17,12 @@ Hex is lowercase, exactly two characters per octet.  A line may be at most
 ``MAX_LINE`` bytes, LF included; a longer one gets ``ERR line-too-long``
 as soon as the server has read one byte past the limit, so a client that
 never sends LF cannot grow the server's buffer.  Unknown commands get
-``ERR unknown-command``; any ERR closes the session.  The registration line
-is trusted as-is -- securing it is a deployment concern and must happen out
-of band.  Sessions are independent; the server may run them concurrently
-but never shares mutable session state.
+``ERR unknown-command``; any ERR closes the session.  When the server has
+waited ``IDLE_TIMEOUT`` seconds for a line without receiving a byte, it
+answers ``ERR idle-timeout`` and closes, so a silent client cannot hold a
+server thread.  The registration line is trusted as-is -- securing it is a
+deployment concern and must happen out of band.  Sessions are independent;
+the server may run them concurrently but never shares mutable session state.
 """
 
 import socket
@@ -32,6 +34,7 @@ from .pebbler import ExhaustedError, Pebbler
 
 ENGINES = ("framework", "inplace-speed2", "inplace-optimal")
 MAX_LINE = 1024  # bytes per wire line, LF included
+IDLE_TIMEOUT = 60.0  # seconds the server waits on a silent session
 
 
 class Prover:
@@ -120,7 +123,15 @@ class _Session(socketserver.StreamRequestHandler):
     def handle(self):
         owf = self.server.owf
         verifier = None
-        while raw := self.rfile.readline(MAX_LINE + 1):
+        self.connection.settimeout(IDLE_TIMEOUT)
+        while True:
+            try:
+                raw = self.rfile.readline(MAX_LINE + 1)
+            except TimeoutError:
+                self._send("ERR idle-timeout")
+                return
+            if not raw:
+                return
             if len(raw) > MAX_LINE:
                 self._send("ERR line-too-long")
                 return

@@ -1,5 +1,6 @@
 """Framework pebblers against the brute-force oracle and the golden columns."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -30,6 +31,18 @@ STORAGE_COLUMNS_K4 = {
     "speed2": [1] * 8 + [2, 2, 2, 2, 3, 3, 4, 5] + [4] * 8 + [3, 3, 3, 3, 2, 2, 1],
     "optimal": [1] * 8 + [2, 2, 2, 2, 2, 3, 3, 5] + [4] * 8 + [3, 3, 3, 3, 2, 2, 1],
 }
+
+# sha256 of the CSV traces for k = 0..10, one LF-terminated line each; the
+# oracle's output must stay byte-identical through any rewrite of its rounds
+GOLDEN_TRACE_SHA256 = {
+    "rushing": "9352788a47371798522cfbeeab2e81d60d2eda9fd076df0aec854b8a49192f35",
+    "speed1": "8a1e7ce7db0084e9cd28f915e8882ce7d59ef4c5ad8d4c8022998f02795d47b9",
+    "speed2": "5504176c6b2a1ddf00060db1ea1633eeba12817d757b9676874946874a04faf4",
+    "optimal": "eef079f250bac0cbcb964570d2c50830fb53904b3c4b755f313a4bf6a629b256",
+}
+# sha256 of repr(live_pebblers()) after every round for k = 0..8, one line
+# each; the sub-pebbler lifetimes do not depend on the family
+GOLDEN_LIVE_SHA256 = "96283a321b6247480d32fb5449b94bef40d105e5f6907231b59e40be722a760c"
 
 
 def test_reverse_oracle_shape():
@@ -155,6 +168,28 @@ def test_child_order_is_irrelevant():
         assert down == up
 
 
+@pytest.mark.parametrize("child_order", ["descending", "ascending"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_trace_golden_digest(family, child_order):
+    digest = hashlib.sha256()
+    for k in range(11):
+        for line in trace_csv_lines(run_trace(MIX, family, k, SEED, child_order)):
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256[family]
+
+
+@pytest.mark.parametrize("child_order", ["descending", "ascending"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_live_pebblers_golden_digest(family, child_order):
+    digest = hashlib.sha256()
+    for k in range(9):
+        p = Pebbler(MIX, family, k, SEED, child_order)
+        for _ in range(p.lifetime):
+            p.step()
+            digest.update(repr(p.live_pebblers()).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_LIVE_SHA256
+
+
 def test_md5_reversal_spot():
     md5 = builtin("md5")
     seed = bytes.fromhex("d41d8cd98f00b204e9800998ecf8427e")
@@ -182,6 +217,43 @@ def test_round_without_an_emitter_fails_loudly():
     p.children.clear()
     with pytest.raises(RuntimeError):
         p.step()
+
+
+def _past_handoff(k, child_order="descending"):
+    """An order-k pebbler just after its hand-off: runs of orders k-1..0."""
+    p = Pebbler(MIX, "optimal", k, SEED, child_order)
+    for _ in range(1 << k):
+        p.step()
+    assert p.live_pebblers() == [(i, 1) for i in range(k - 1, -1, -1)]
+    return p
+
+
+@pytest.mark.parametrize("child_order", ["descending", "ascending"])
+def test_two_runs_at_their_handoff_fail_loudly(child_order):
+    p = _past_handoff(3, child_order)
+    p.children[0].round_no = 1 << 2  # order 2 jumps to its hand-off beside order 0's
+    with pytest.raises(RuntimeError, match="exactly one run"):
+        p.step()
+
+
+def test_setup_round_that_would_emit_fails_loudly():
+    # order 1 skips its set-up round and is alone at its hand-off: its slot 0
+    # was never pinned, so emitting it would release nothing
+    p = _past_handoff(3)
+    p.children[1].round_no = 2
+    del p.children[2]
+    with pytest.raises(RuntimeError, match="set-up unfinished"):
+        p.step()
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_redundant_after_handoff_and_frontier_at_most_k_runs(k):
+    p = Pebbler(MIX, "speed2", k, SEED)
+    for r in range(1, p.lifetime + 1):
+        assert p.redundant == (r > 1 << k)
+        assert len(p.children) <= max(k, 1)
+        p.step()
+    assert p.redundant and p.children == []
 
 
 def _framework_lifetime_peak(k):

@@ -2,9 +2,11 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
+from chainpebble import protocol
 from chainpebble.owf import builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, reverse_oracle
 from chainpebble.protocol import (
@@ -188,6 +190,37 @@ def test_wire_rejects_line_that_never_ends(server):
     # once it has read one byte past the limit, not buffer without bound
     port = server.server_address[1]
     assert _send_raw(port, b"A" * (MAX_LINE + 1)) == "ERR line-too-long"
+
+
+@pytest.mark.parametrize("sent", [b"", b"REGISTER 2 ", b"PING"])
+def test_wire_closes_silent_session(server, monkeypatch, capsys, sent):
+    # nothing, half a line, or a line with no LF, then silence: the server
+    # answers once the timeout passes, closes, and logs no traceback
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.2)
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(sent)
+        wire = conn.makefile("rb")
+        assert wire.readline() == b"ERR idle-timeout\n"
+        assert wire.read() == b""  # closed
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_wire_timeout_counts_each_wait_not_the_session(server, monkeypatch):
+    # every pause is shorter than the timeout, the whole session is longer
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.5)
+    port = server.server_address[1]
+    prover = Prover(MIX, 2, SEED)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        wire = conn.makefile("rwb")
+        replies = []
+        for line in [f"REGISTER 2 {prover.endpoint.hex()}"] + [
+                f"AUTH {prover.next_value().hex()}" for _ in range(3)]:
+            time.sleep(0.2)
+            wire.write((line + "\n").encode())
+            wire.flush()
+            replies.append(wire.readline().decode().strip())
+    assert replies == ["OK 0", "OK 1", "OK 2", "OK 3"]
 
 
 def test_client_run_with_tamper_and_recovery(server):
