@@ -162,8 +162,7 @@ def _inplace_stream(state, n):
 
 def _framework_stream(fn, fam, k, seed):
     p = pebbler.Pebbler(fn, fam, k, seed)
-    for _ in range((1 << k) - 1):
-        p.step()
+    p.finish_setup()
     out = []
     for _ in range(1 << k):
         res = p.step()

@@ -8,7 +8,8 @@ index i.  The slot written next by a working pebbler is always the one just
 vacated by the pebblers to its right, which is what makes a fixed array
 suffice.  Its frontier is a closed form in i and c mod 2^i, evaluated
 in O(1) inside the step (``schedule.optimal_remaining`` states it), not a
-table.
+table, and handed as ``rem`` (hashes still owed, plus one) to the fill loop
+that both engines share, ``pebbler._fill``; set-up is one call of it.
 
 Two variants are provided.  The speed-2 stepper keeps k slots and hard-codes
 its two-hashes-per-pebbler budget in the stepping loop.  The optimal stepper
@@ -50,15 +51,11 @@ one or descend into an occupied one (both in ``_fill``).
 from dataclasses import dataclass
 
 from .owf import Owf, WidthError
-from .pebbler import ExhaustedError
+from .pebbler import DecodeError, ExhaustedError, _fill, _wrong_width
 
 IDLE = "idle"
 HASHING = "hashing"
 FIRST_OUTPUT = "first-output"
-
-
-class DecodeError(ValueError):
-    """Serialized in-place state is malformed."""
 
 
 def strip_zeros(c: int) -> tuple[int, int]:
@@ -111,42 +108,11 @@ def decode_states(k: int, c: int) -> list[PebblerPhase]:
     return found
 
 
-def _wrong_width(owf: Owf, v: bytes) -> WidthError:
-    return WidthError(f"{owf.name} returned {len(v)} bytes, expected {owf.width}")
-
-
 def _check_args(owf: Owf, k: int, seed: bytes) -> None:
     if k < 1:
         raise ValueError("in-place pebblers need k >= 1")
     if len(seed) != owf.width:
         raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
-
-
-def _fill(owf: Owf, z: list, m: int, gap: int, n: int) -> None:
-    """Spend n hashes on the frontier in slot m, which gap more complete.
-
-    Completed slots stay pinned; slot m must hold a value and each slot
-    started must be empty, else DecodeError (a restored state lied).  With m = k,
-    gap = 0 and n = 2^k - 1 on [None]*k + [seed] it runs the whole set-up.
-    Calls ``owf.fn`` directly and raises WidthError on any output that is not
-    of the function's width.  The other widths are checked where values
-    enter: the seed at construction, slot sizes in ``restore``.
-    """
-    fn, width = owf.fn, owf.width
-    v = z[m]
-    if v is None:
-        raise DecodeError("hashing from an empty slot")
-    for _ in range(n):
-        if gap == 0:
-            m -= 1
-            gap = 1 << m
-            if z[m] is not None:
-                raise DecodeError("descended into an occupied slot")
-        v = fn(v)
-        if len(v) != width:
-            raise _wrong_width(owf, v)
-        z[m] = v
-        gap -= 1
 
 
 def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
@@ -192,7 +158,7 @@ class InPlaceSpeed2:
         self.owf = owf
         self.k = k
         y: list = [None] * k + [seed]
-        _fill(owf, y, k, 0, (1 << k) - 1)
+        _fill(owf, y, 1 << k, (1 << k) - 1)
         self.z = y[1:]
         self._pending = y[0]  # first emission, recomputable as f(z[0])
         self.r = 1 << k
@@ -261,7 +227,7 @@ class InPlaceOptimal:
         self.owf = owf
         self.k = k
         self.z = [None] * k + [seed]
-        _fill(owf, self.z, k, 0, (1 << k) - 1)  # all k+1 slots occupied
+        _fill(owf, self.z, 1 << k, (1 << k) - 1)  # all k+1 slots occupied
         self.r = 1 << k
 
     @property
@@ -303,8 +269,7 @@ class InPlaceOptimal:
                 u = (1 << b) - u
                 m = (u - 1).bit_length()
                 rem = (((i + 3 - b) << b) + u * (m - i) - (1 << m) + 1 - i % 2) >> 1
-                m = rem.bit_length() - 1
-                _fill(self.owf, z, m, rem - (1 << m), n)
+                _fill(self.owf, z, rem, n)
                 hashes += n
         self.r += 1
         return out, hashes

@@ -10,20 +10,23 @@ The net effect: the chain seed, f(seed), ..., f^(2^k-1)(seed) comes out in
 reverse, one element per round over the last 2^k rounds.
 
 The tree is kept flat: ``Pebbler.children`` is the frontier of runs (the
-sub-pebblers still holding values), highest order first.  A run at its
-hand-off is replaced in place by its children; stepping the frontier
-reversed reverses the children at every level.
+sub-pebblers still holding values), highest order first.  The run at its
+hand-off is always the last: it is popped and its children appended;
+stepping the frontier reversed reverses the children at every level.
 
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
 a copy), and an emitted slot is freed immediately.
 
-Budgets are computed per round by ``schedule.budget``; no run keeps a
-schedule list, so a whole tree holds O(k) values in at most max(k, 1) runs.
-Widths are checked at the boundary: the seed once at construction, and each
-one-way function output where the fill loop computes it (by calling
-``owf.fn`` directly).  Every value hashed or emitted is therefore of the
-function's width.
+Budgets are computed per round by the family's rule in ``schedule.RULES``,
+bound once; no run keeps a schedule list, so a whole tree holds O(k) values
+in at most max(k, 1) runs.  Both engines share one fill loop, ``_fill``,
+keyed by the hashes a frontier owes plus one; the root's set-up owes 2^k - 1
+whatever the family, so ``finish_setup`` runs it as one fill.  Widths are
+checked at the boundary: the seed once at construction, and each one-way
+function output where the fill loop computes it (by calling ``owf.fn``
+directly).  Every value hashed or emitted is therefore of the function's
+width.
 """
 
 import json
@@ -31,11 +34,48 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .owf import Owf, WidthError, evaluate
-from .schedule import FAMILIES, budget
+from .schedule import RULES
 
 
 class ExhaustedError(RuntimeError):
     """Stepping a pebbler, or draining a prover, past its final round."""
+
+
+class DecodeError(ValueError):
+    """Serialized in-place state is malformed."""
+
+
+def _wrong_width(owf: Owf, v: bytes) -> WidthError:
+    return WidthError(f"{owf.name} returned {len(v)} bytes, expected {owf.width}")
+
+
+def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
+    """Spend n hashes on the frontier of the slots z, which owes rem - 1 more.
+
+    Slot m = bitlen(rem) - 1 is being filled, rem - 2^m hashes short of
+    done; completed slots stay pinned.  Slot m must hold a value and each
+    slot started must be empty, else DecodeError (a restored state lied).
+    With rem = 2^k and n = 2^k - 1 on [None]*k + [seed] it runs a whole
+    set-up.  Raises WidthError on any ``owf.fn`` output not of the
+    function's width; other widths are checked where values enter.
+    """
+    fn, width = owf.fn, owf.width
+    m = rem.bit_length() - 1
+    gap = rem - (1 << m)
+    v = z[m]
+    if v is None:
+        raise DecodeError("hashing from an empty slot")
+    for _ in range(n):
+        if gap == 0:
+            m -= 1
+            gap = 1 << m
+            if z[m] is not None:
+                raise DecodeError("descended into an occupied slot")
+        v = fn(v)
+        if len(v) != width:
+            raise _wrong_width(owf, v)
+        z[m] = v
+        gap -= 1
 
 
 @dataclass(frozen=True)
@@ -56,26 +96,26 @@ class TraceRow:
 class _Run:
     """A live sub-pebbler: its order, local round, slots and fill frontier."""
 
-    __slots__ = ("k", "round_no", "slots", "fill", "gap")
+    __slots__ = ("k", "round_no", "slots", "rem")
 
     def __init__(self, k: int, seed: bytes, round_no: int = 1):
         self.k = k
         self.round_no = round_no
         self.slots = [None] * k + [seed]
-        self.fill = k
-        self.gap = 0
+        self.rem = 1 << k  # set-up hashes still owed, plus one
 
 
 class Pebbler:
     """Single-owner state machine; each step() call runs one round."""
 
-    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "child_order")
+    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "child_order",
+                 "_rule")
 
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes,
                  child_order: str = "descending"):
         if k < 0:
             raise ValueError("order k must be >= 0")
-        if family not in FAMILIES:
+        if family not in RULES:
             raise ValueError(f"unknown schedule family {family!r}")
         if child_order not in ("descending", "ascending"):
             raise ValueError("child_order must be 'descending' or 'ascending'")
@@ -88,6 +128,7 @@ class Pebbler:
         self.round_no = 1
         self.children = [_Run(k, seed, 1 << k)]  # frontier; the root run waits at its hand-off
         self.child_order = child_order
+        self._rule = RULES[family]
 
     @property
     def exhausted(self) -> bool:
@@ -108,52 +149,49 @@ class Pebbler:
         r = self.round_no
         if r < 1 << self.k:  # the root's own set-up: one run, one budget, nothing emits
             self.round_no = r + 1
-            hashes = budget(self.family, self.k, r)
+            hashes = self._rule(self.k, r)
             if hashes:
-                self._fill(self.children[0], hashes)
+                run = self.children[0]
+                _fill(self.owf, run.slots, run.rem, hashes)
+                run.rem -= hashes
             return None, hashes
         if r > self.lifetime:
             raise ExhaustedError(f"pebbler of order {self.k} ended after round {self.lifetime}")
         self.round_no = r + 1
-        frontier, family = self.children, self.family
-        hashes, emitter = 0, None
-        for run in reversed(frontier) if self.child_order == "ascending" else frontier:
-            q = run.round_no
-            run.round_no = q + 1
-            if q < 1 << run.k:
-                spent = budget(family, run.k, q)
-                if spent:
-                    self._fill(run, spent)
-                    hashes += spent
-            elif emitter is None:
-                emitter = run
-            else:
-                raise RuntimeError("exactly one run hands off per round")
-        if emitter is None:
+        frontier, rule, owf = self.children, self._rule, self.owf
+        # the run at its hand-off is the lowest order, which sits last
+        emitter = frontier.pop() if frontier else None
+        if emitter is None or emitter.round_no < 1 << emitter.k:
             raise RuntimeError("exactly one run hands off per round")
         out = emitter.slots[0]
         if out is None:
             raise RuntimeError("a run reached its hand-off with its set-up unfinished")
-        i = frontier.index(emitter)
-        frontier[i:i + 1] = [_Run(j - 1, emitter.slots[j]) for j in range(emitter.k, 0, -1)]
+        hashes = 0
+        for run in reversed(frontier) if self.child_order == "ascending" else frontier:
+            q = run.round_no
+            run.round_no = q + 1
+            if q >= 1 << run.k:
+                raise RuntimeError("exactly one run hands off per round")
+            spent = rule(run.k, q)
+            if spent:
+                _fill(owf, run.slots, run.rem, spent)
+                run.rem -= spent
+                hashes += spent
+        frontier += [_Run(j - 1, emitter.slots[j]) for j in range(emitter.k, 0, -1)]
         return out, hashes
 
-    def _fill(self, run: _Run, hashes: int) -> None:
-        """Spend hashes on the run's frontier, pinning each slot as it completes;
-        raise WidthError on any ``owf.fn`` output not of the function's width."""
-        fn, width = self.owf.fn, self.owf.width
-        slots, fill, gap = run.slots, run.fill, run.gap
-        v = slots[fill]
-        for _ in range(hashes):
-            if gap == 0:
-                fill -= 1
-                gap = 1 << fill
-            v = fn(v)
-            if len(v) != width:
-                raise WidthError(f"{self.owf.name} returned {len(v)} bytes, expected {width}")
-            slots[fill] = v
-            gap -= 1
-        run.fill, run.gap = fill, gap
+    def finish_setup(self) -> int:
+        """Run the set-up rounds left as one fill and return its hashes (0 past
+        set-up); it leaves the state the per-round set-up leaves, since the
+        root runs alone until round 2^k and owes 2^k - 1 hashes in all."""
+        if self.round_no >= 1 << self.k:
+            return 0
+        run = self.children[0]
+        n = run.rem - 1
+        _fill(self.owf, run.slots, run.rem, n)
+        run.rem = 1
+        self.round_no = 1 << self.k
+        return n
 
     def storage(self) -> int:
         """Live values held across the frontier at the start of the coming round."""

@@ -17,16 +17,18 @@ Hex is lowercase, exactly two characters per octet.  A line may be at most
 ``MAX_LINE`` bytes, LF included; a longer one gets ``ERR line-too-long``
 as soon as the server has read one byte past the limit, so a client that
 never sends LF cannot grow the server's buffer.  Unknown commands get
-``ERR unknown-command``; any ERR closes the session.  When the server has
-waited ``IDLE_TIMEOUT`` seconds for a line without receiving a byte, it
-answers ``ERR idle-timeout`` and closes, so a silent client cannot hold a
-server thread.  The registration line is trusted as-is -- securing it is a
-deployment concern and must happen out of band.  Sessions are independent;
+``ERR unknown-command``; any ERR closes the session.  A whole line must
+arrive within ``IDLE_TIMEOUT`` seconds of the server starting to wait for
+it, else the server answers ``ERR idle-timeout`` and closes, so neither a
+silent client nor one that dribbles bytes can hold a server thread.  The
+registration line is trusted as-is -- securing it is a deployment concern
+and must happen out of band.  Sessions are independent;
 the server may run them concurrently but never shares mutable session state.
 """
 
 import socket
 import socketserver
+import time
 
 from .inplace import InPlaceOptimal, InPlaceSpeed2
 from .owf import Owf, evaluate
@@ -34,7 +36,7 @@ from .pebbler import ExhaustedError, Pebbler
 
 ENGINES = ("framework", "inplace-speed2", "inplace-optimal")
 MAX_LINE = 1024  # bytes per wire line, LF included
-IDLE_TIMEOUT = 60.0  # seconds the server waits on a silent session
+IDLE_TIMEOUT = 60.0  # seconds the server waits for each whole line
 
 
 class Prover:
@@ -56,9 +58,8 @@ class Prover:
             engine = "inplace-optimal" if k >= 1 else "framework"
         if engine == "framework":
             pebbler = Pebbler(owf, family, k, seed)
+            pebbler.finish_setup()  # set-up rounds emit nothing: one fill
             step = pebbler._round
-            for _ in range((1 << k) - 1):
-                step()  # set-up rounds emit nothing
         elif engine == "inplace-speed2":
             pebbler = InPlaceSpeed2(owf, k, seed)
             step = pebbler.step
@@ -123,10 +124,9 @@ class _Session(socketserver.StreamRequestHandler):
     def handle(self):
         owf = self.server.owf
         verifier = None
-        self.connection.settimeout(IDLE_TIMEOUT)
         while True:
             try:
-                raw = self.rfile.readline(MAX_LINE + 1)
+                raw = self._readline()
             except TimeoutError:
                 self._send("ERR idle-timeout")
                 return
@@ -177,6 +177,25 @@ class _Session(socketserver.StreamRequestHandler):
             else:
                 self._send("ERR unknown-command")
                 return
+
+    def _readline(self) -> bytes:
+        """Read a line of at most MAX_LINE + 1 bytes, or what came before EOF;
+        raise TimeoutError unless it is all in within IDLE_TIMEOUT."""
+        deadline = time.monotonic() + IDLE_TIMEOUT
+        raw = b""
+        while len(raw) <= MAX_LINE and not raw.endswith(b"\n"):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError
+            self.connection.settimeout(left)
+            data = self.rfile.peek()  # buffered bytes, or at most one recv
+            if not data:
+                break
+            room = MAX_LINE + 1 - len(raw)
+            end = data.find(b"\n", 0, room) + 1  # 0 when no LF is in reach
+            raw += self.rfile.read(end or min(room, len(data)))
+        self.connection.settimeout(IDLE_TIMEOUT)  # a reply gets the whole wait
+        return raw
 
     def _send(self, text: str):
         self.wfile.write((text + "\n").encode("utf-8"))

@@ -3,8 +3,9 @@
 A pebbler of order k reverses a length-2^k chain over 2^(k+1)-1 rounds; a
 schedule fixes how many hashes it spends in each of its 2^k-1 set-up rounds,
 always summing to 2^k-1.  ``budget`` gives one round's budget in O(1), so a
-pebbler need not store its schedule; ``make_schedule`` lists them all.  Four
-families are implemented:
+pebbler need not store its schedule; ``make_schedule`` lists them all.  Both
+check their arguments once, then call the family's raw rule in ``RULES``,
+as a pebbler does every round.  Four families are implemented:
 
 - ``rushing``:  do nothing until the last set-up round, then hash flat out;
 - ``speed1``:   one hash per set-up round;
@@ -22,33 +23,42 @@ import math
 FAMILIES = ("rushing", "speed1", "speed2", "optimal")
 
 
+def _optimal(k: int, r: int) -> int:
+    n = 1 << k
+    if r < n >> 1:
+        return 0
+    return ((k + r) % 2 + k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length()) // 2
+
+
+# each family's raw O(1) rule: the budget of set-up round r for order k,
+# unchecked, so that a caller that checks once can call it every round
+RULES = {
+    "rushing": lambda k, r: (1 << k) - 1 if r == (1 << k) - 1 else 0,
+    "speed1": lambda k, r: 1,
+    "speed2": lambda k, r: 0 if r < 1 << k >> 1 else 2 if r < (1 << k) - 1 else 1,
+    "optimal": _optimal,
+}
+
+
 def budget(family: str, k: int, r: int) -> int:
     """Budget t_r of set-up round r (1 <= r < 2^k) for order k, in O(1)."""
     if k < 0:
         raise ValueError("order k must be >= 0")
-    n = 1 << k
-    if not 0 < r < n:
+    if not 0 < r < 1 << k:
         raise ValueError(f"set-up round must satisfy 1 <= r < 2^k, got r={r} for k={k}")
-    if family == "optimal":
-        if r < n // 2:
-            return 0
-        return ((k + r) % 2 + k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length()) // 2
-    if family == "speed2":
-        return 0 if r < n // 2 else 2 if r < n - 1 else 1
-    if family == "speed1":
-        return 1
-    if family == "rushing":
-        return n - 1 if r == n - 1 else 0
-    raise ValueError(f"unknown schedule family {family!r}")
+    if family not in RULES:
+        raise ValueError(f"unknown schedule family {family!r}")
+    return RULES[family](k, r)
 
 
 def make_schedule(family: str, k: int) -> list[int]:
     """Per-round budgets t_1..t_{2^k-1} for the set-up stage of order k."""
     if k < 0:
         raise ValueError("order k must be >= 0")
-    if family not in FAMILIES:
+    if family not in RULES:
         raise ValueError(f"unknown schedule family {family!r}")
-    return [budget(family, k, r) for r in range(1, 1 << k)]
+    rule = RULES[family]
+    return [rule(k, r) for r in range(1, 1 << k)]
 
 
 def unrounded_head(k: int) -> list[int]:

@@ -11,6 +11,7 @@ from chainpebble.owf import Owf, WidthError, builtin, iterate
 from chainpebble.pebbler import (
     ExhaustedError,
     Pebbler,
+    TraceRow,
     reverse_oracle,
     run_outputs,
     run_trace,
@@ -188,6 +189,35 @@ def test_live_pebblers_golden_digest(family, child_order):
             p.step()
             digest.update(repr(p.live_pebblers()).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_LIVE_SHA256
+
+
+def _rest_of_run(p):
+    """run_trace's rows for the rounds p has left, each with live_pebblers()."""
+    rows = []
+    while not p.exhausted:
+        held = p.storage()
+        res = p.step()
+        rows.append((TraceRow(res.round, res.hashes, held, res.output), p.live_pebblers()))
+    return rows
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_finish_setup_matches_per_round_setup(family):
+    # stop the per-round set-up after every possible round, then finish it
+    # in one fill: same hashes in all, then the same rows to the end
+    for k in range(9):
+        ref = Pebbler(MIX, family, k, SEED)
+        for _ in range((1 << k) - 1):
+            ref.step()
+        want = _rest_of_run(ref)
+        for stop in range(1 << k):
+            p = Pebbler(MIX, family, k, SEED)
+            spent = sum(p.step().hashes for _ in range(stop))
+            spent += p.finish_setup()
+            assert spent == (1 << k) - 1, (k, stop)
+            assert p.round_no == 1 << k
+            assert p.finish_setup() == 0  # past set-up it does nothing
+            assert _rest_of_run(p) == want, (k, stop)
 
 
 def test_md5_reversal_spot():

@@ -1,5 +1,6 @@
 """Identification protocol: prover, verifier, and the line-based wire format."""
 
+import hashlib
 import socket
 import threading
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from chainpebble import protocol
-from chainpebble.owf import builtin, evaluate, iterate
+from chainpebble.owf import Owf, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, reverse_oracle
 from chainpebble.protocol import (
     ENGINES,
@@ -17,6 +18,7 @@ from chainpebble.protocol import (
     Verifier,
     run_client,
 )
+from chainpebble.schedule import FAMILIES
 
 MIX = builtin("testmix64")
 SEED = bytes.fromhex("0123456789abcdef")
@@ -91,6 +93,42 @@ def test_skipping_ahead_is_rejected():
     skipped = prover.next_value()  # two steps down the chain
     assert not verifier.check(skipped)
     assert verifier.verified == 0
+
+
+# sha256 of the framework Prover's releases for k = 0..10, one
+# "<hex value>,<last_hashes>" LF-terminated line each; however its set-up
+# is run, what it releases and what each release costs must not change
+GOLDEN_FRAMEWORK_PROVER_SHA256 = {
+    "rushing": "1801c27aac738d13f0471bcd8acb217f981039b8457184e36801942d182a38c3",
+    "speed1": "803d20af650d962bea355e675c4f32323d1c588f0aae84d1d17f2579feaa3624",
+    "speed2": "bdc8fcf8343288c37286b2fadc3053fbf3036a16bb55f590eeb88c47df9d2cb2",
+    "optimal": "f6ce07fbbfccafc4708f0dd74a8d2ef6db9de20085bb8583d74e81148e51171a",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_framework_prover_golden_digest(family):
+    digest = hashlib.sha256()
+    for k in range(11):
+        prover = Prover(MIX, k, SEED, "framework", family)
+        for _ in range(1 << k):
+            value = prover.next_value()
+            digest.update(f"{value.hex()},{prover.last_hashes}\n".encode())
+    assert digest.hexdigest() == GOLDEN_FRAMEWORK_PROVER_SHA256[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", range(11))
+def test_framework_prover_setup_costs_only_its_hashes(family, k):
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return MIX.fn(v)
+
+    Prover(Owf(MIX.name, MIX.width, fn), k, SEED, "framework", family)
+    # 2^k - 1 set-up hashes, whatever the family, and one for the endpoint
+    assert calls[0] == (1 << k) - 1 + 1
 
 
 def test_per_release_hash_counts():
@@ -221,6 +259,27 @@ def test_wire_timeout_counts_each_wait_not_the_session(server, monkeypatch):
             wire.flush()
             replies.append(wire.readline().decode().strip())
     assert replies == ["OK 0", "OK 1", "OK 2", "OK 3"]
+
+
+def test_wire_timeout_counts_whole_lines_not_bytes(server, monkeypatch):
+    # one byte every 0.05 s never leaves the socket idle for the timeout, but
+    # no line is whole within it: the server answers while bytes still come
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.2)
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=0.05) as conn:
+        for _ in range(40):  # 2 s of bytes, ten timeouts' worth
+            conn.sendall(b"A")
+            try:
+                reply = conn.recv(64)  # doubles as the pause between bytes
+                break
+            except TimeoutError:
+                pass
+        else:
+            pytest.fail("no reply while the client was still sending")
+        conn.settimeout(10)
+        wire = conn.makefile("rb")
+        assert reply + wire.readline() == b"ERR idle-timeout\n"
+        assert wire.read() == b""  # closed
 
 
 def test_client_run_with_tamper_and_recovery(server):

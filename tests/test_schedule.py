@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from chainpebble.schedule import (
     FAMILIES,
+    RULES,
     budget,
     format_halves,
     image_deficit,
@@ -143,6 +144,11 @@ def test_budget_rejects_rounds_outside_setup(family):
     for k, r in [(0, 1), (3, 0), (3, 8), (3, -1), (-1, 1)]:
         with pytest.raises(ValueError):
             budget(family, k, r)
+
+
+def test_rule_table_covers_exactly_the_families():
+    # budget() and every Pebbler dispatch through this table
+    assert tuple(RULES) == FAMILIES
 
 
 def test_budget_rejects_unknown_family():
