@@ -74,10 +74,9 @@ def cmd_reverse(args) -> int:
             print(value.hex())
         return 0
     p = pebbler.Pebbler(fn, args.family, args.k, seed)
-    for _ in range(p.lifetime):
-        res = p.step()
-        if res.output is not None:
-            print(res.output.hex())
+    p.finish_setup()  # set-up rounds emit nothing: one fill
+    for _ in range(1 << args.k):
+        print(p.step().output.hex())
     return 0
 
 
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(p)
     add_k(p)
     add_owf_seed(p)
-    p.add_argument("--format", choices=("csv", "jsonl", "plain"), default="csv")
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.set_defaults(run=cmd_trace)
 
     p = sub.add_parser("reverse", help="stream the reversed chain as hex lines")

@@ -16,7 +16,9 @@ stepping the frontier reversed reverses the children at every level.
 
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
-a copy), and an emitted slot is freed immediately.
+a copy), and an emitted slot is freed immediately.  A run holds its seed
+alone until it first hashes, and only then gets its k+1 slots, so an
+order-0 run emits its seed without ever holding a slot list.
 
 Budgets are computed per round by the family's rule in ``schedule.RULES``,
 bound once; no run keeps a schedule list, so a whole tree holds O(k) values
@@ -94,15 +96,27 @@ class TraceRow:
 
 
 class _Run:
-    """A live sub-pebbler: its order, local round, slots and fill frontier."""
+    """A live sub-pebbler: its order, local round, seed and fill frontier.
 
-    __slots__ = ("k", "round_no", "slots", "rem")
+    ``slots`` stays None until the run's first nonzero budget, when
+    ``pin()`` gives it k+1 slots with the seed on top; a run that has not
+    hashed holds its seed alone.
+    """
+
+    __slots__ = ("k", "round_no", "seed", "slots", "rem")
 
     def __init__(self, k: int, seed: bytes, round_no: int = 1):
         self.k = k
         self.round_no = round_no
-        self.slots = [None] * k + [seed]
+        self.seed = seed
+        self.slots = None
         self.rem = 1 << k  # set-up hashes still owed, plus one
+
+    def pin(self) -> list:
+        """Allocate the k+1 slots, the seed in slot k, and return them."""
+        z = self.slots = [None] * (self.k + 1)
+        z[self.k] = self.seed
+        return z
 
 
 class Pebbler:
@@ -152,7 +166,8 @@ class Pebbler:
             hashes = self._rule(self.k, r)
             if hashes:
                 run = self.children[0]
-                _fill(self.owf, run.slots, run.rem, hashes)
+                z = run.slots
+                _fill(self.owf, run.pin() if z is None else z, run.rem, hashes)
                 run.rem -= hashes
             return None, hashes
         if r > self.lifetime:
@@ -163,9 +178,14 @@ class Pebbler:
         emitter = frontier.pop() if frontier else None
         if emitter is None or emitter.round_no < 1 << emitter.k:
             raise RuntimeError("exactly one run hands off per round")
-        out = emitter.slots[0]
-        if out is None:
+        k = emitter.k
+        z = emitter.slots
+        if not k:
+            out = emitter.seed  # order 0: the seed is the run's one value
+        elif z is None or z[0] is None:
             raise RuntimeError("a run reached its hand-off with its set-up unfinished")
+        else:
+            out = z[0]
         hashes = 0
         for run in reversed(frontier) if self.child_order == "ascending" else frontier:
             q = run.round_no
@@ -174,10 +194,12 @@ class Pebbler:
                 raise RuntimeError("exactly one run hands off per round")
             spent = rule(run.k, q)
             if spent:
-                _fill(owf, run.slots, run.rem, spent)
+                slots = run.slots
+                _fill(owf, run.pin() if slots is None else slots, run.rem, spent)
                 run.rem -= spent
                 hashes += spent
-        frontier += [_Run(j - 1, emitter.slots[j]) for j in range(emitter.k, 0, -1)]
+        for j in range(k, 0, -1):
+            frontier.append(_Run(j - 1, z[j]))
         return out, hashes
 
     def finish_setup(self) -> int:
@@ -188,14 +210,19 @@ class Pebbler:
             return 0
         run = self.children[0]
         n = run.rem - 1
-        _fill(self.owf, run.slots, run.rem, n)
+        z = run.slots
+        _fill(self.owf, run.pin() if z is None else z, run.rem, n)
         run.rem = 1
         self.round_no = 1 << self.k
         return n
 
     def storage(self) -> int:
         """Live values held across the frontier at the start of the coming round."""
-        return sum(len(run.slots) - run.slots.count(None) for run in self.children)
+        held = 0
+        for run in self.children:
+            z = run.slots
+            held += 1 if z is None else len(z) - z.count(None)
+        return held
 
     def live_pebblers(self) -> list[tuple[int, int]]:
         """(order, local round) of every run on the frontier, highest order first."""

@@ -20,14 +20,17 @@ never sends LF cannot grow the server's buffer.  Unknown commands get
 ``ERR unknown-command``; any ERR closes the session.  A whole line must
 arrive within ``IDLE_TIMEOUT`` seconds of the server starting to wait for
 it, else the server answers ``ERR idle-timeout`` and closes, so neither a
-silent client nor one that dribbles bytes can hold a server thread.  The
-registration line is trusted as-is -- securing it is a deployment concern
-and must happen out of band.  Sessions are independent;
-the server may run them concurrently but never shares mutable session state.
+silent client nor one that dribbles bytes can hold a server thread.  At most
+``MAX_SESSIONS`` sessions run at once; a connection past the cap gets
+``ERR busy`` and is closed before any session starts.  The registration
+line is trusted as-is -- securing it is a deployment concern and must
+happen out of band.  Sessions are independent; the server may run them
+concurrently but never shares mutable session state.
 """
 
 import socket
 import socketserver
+import threading
 import time
 
 from .inplace import InPlaceOptimal, InPlaceSpeed2
@@ -37,6 +40,7 @@ from .pebbler import ExhaustedError, Pebbler
 ENGINES = ("framework", "inplace-speed2", "inplace-optimal")
 MAX_LINE = 1024  # bytes per wire line, LF included
 IDLE_TIMEOUT = 60.0  # seconds the server waits for each whole line
+MAX_SESSIONS = 64  # sessions the server runs at once, one thread each
 
 
 class Prover:
@@ -202,7 +206,7 @@ class _Session(socketserver.StreamRequestHandler):
 
 
 class IdentificationServer(socketserver.ThreadingTCPServer):
-    """One verifier session per connection; safe for concurrent clients."""
+    """One verifier session per connection, at most MAX_SESSIONS at once."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -210,6 +214,37 @@ class IdentificationServer(socketserver.ThreadingTCPServer):
     def __init__(self, owf: Owf, host: str, port: int):
         super().__init__((host, port), _Session)
         self.owf = owf
+        self._sessions = 0
+        self._sessions_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        """Start a session thread, or answer ERR busy and close at the cap."""
+        with self._sessions_lock:
+            busy = self._sessions >= MAX_SESSIONS
+            if not busy:
+                self._sessions += 1
+        if busy:
+            try:
+                request.sendall(b"ERR busy\n")
+            except OSError:
+                pass  # the client is gone; close all the same
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release the count
+            self._end_session()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._end_session()
+
+    def _end_session(self):
+        with self._sessions_lock:
+            self._sessions -= 1
 
 
 def _flip_bit(v: bytes) -> bytes:

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from chainpebble import cli, schedule
+from chainpebble import cli, pebbler, schedule
 from chainpebble.owf import builtin
 from chainpebble.pebbler import reverse_oracle
 from chainpebble.protocol import IdentificationServer
@@ -72,6 +72,22 @@ def test_reverse_identical_across_families_and_steppers(capsys):
     assert lines == [v.hex() for v in reverse_oracle(md5, 4, seed)]
 
 
+def test_reverse_steps_only_the_reversal_rounds(capsys, monkeypatch):
+    # set-up runs as one fill; step() runs just the 2^k rounds that emit
+    calls = [0]
+    step = pebbler.Pebbler.step
+
+    def counted(self):
+        calls[0] += 1
+        return step(self)
+
+    monkeypatch.setattr(pebbler.Pebbler, "step", counted)
+    status, out = run_cli(capsys, "reverse", "--k", "9", "--owf", "testmix64")
+    assert status == 0
+    assert calls[0] == 1 << 9
+    assert out.split() == [v.hex() for v in reverse_oracle(MIX, 9, cli.default_seed(MIX))]
+
+
 def test_reverse_inplace_rejects_order_zero(capsys):
     status = cli.main(["reverse", "--family", "optimal", "--k", "0", "--inplace"])
     assert status == 2
@@ -98,6 +114,9 @@ def test_k_guard():
 def test_unknown_flags_are_usage_errors():
     with pytest.raises(SystemExit) as err:
         cli.main(["schedule", "--family", "fibonacci"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["trace", "--format", "plain"])
     assert err.value.code == 2
 
 

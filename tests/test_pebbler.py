@@ -286,6 +286,20 @@ def test_redundant_after_handoff_and_frontier_at_most_k_runs(k):
     assert p.redundant and p.children == []
 
 
+@pytest.mark.parametrize("child_order", ["descending", "ascending"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_runs_get_slots_only_once_they_hash(family, child_order):
+    # a run holds its seed alone until its first hash gives it k+1 slots
+    for k in range(9):
+        p = Pebbler(MIX, family, k, SEED, child_order)
+        while True:
+            for run in p.children:
+                assert (run.slots is None) == (run.rem == 1 << run.k), (k, p.round_no)
+            if p.exhausted:
+                break
+            p.step()
+
+
 def _framework_lifetime_peak(k):
     tracemalloc.start()
     try:

@@ -282,6 +282,33 @@ def test_wire_timeout_counts_whole_lines_not_bytes(server, monkeypatch):
         assert wire.read() == b""  # closed
 
 
+def test_wire_caps_concurrent_sessions(server, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_SESSIONS", 1)
+    port = server.server_address[1]
+    register = f"REGISTER 2 {Prover(MIX, 2, SEED).endpoint.hex()}\n".encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as first:
+        first.sendall(register)
+        with first.makefile("rb") as wire:
+            assert wire.readline() == b"OK 0\n"
+        # past the cap: refused and closed before any session starts
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            with conn.makefile("rb") as wire:
+                assert wire.readline() == b"ERR busy\n"
+                assert wire.read() == b""  # closed
+    # the first session ends on its own thread, so a new client may still
+    # be refused for a moment; it registers once the server counts it out
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            reply = _send_raw(port, register)
+        except OSError:  # refused and reset while the client was sending
+            reply = ""
+        if reply == "OK 0":
+            break
+        assert time.monotonic() < deadline, reply
+        time.sleep(0.01)
+
+
 def test_client_run_with_tamper_and_recovery(server):
     port = server.server_address[1]
     lines = []
