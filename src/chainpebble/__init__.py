@@ -15,8 +15,6 @@ from .inplace import (
     restore,
     save,
     segment_budgets,
-    strip_ones,
-    strip_zeros,
 )
 from .owf import Owf, OWF_NAMES, UnknownOwfError, WidthError, builtin, evaluate, iterate
 from .pebbler import (

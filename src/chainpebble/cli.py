@@ -5,8 +5,8 @@ Subcommands:
 - ``schedule``  print the set-up budgets of one family as comma-separated integers
 - ``trace``     print a full per-round run (round, hashes, storage, output) as CSV or JSONL
 - ``reverse``   stream the 2^k chain elements as hex lines, newest first
-- ``verify``    run the cross-checks (oracle equivalence, schedule sums, the exact
-                half-integer identities, in-place equivalence) and report per property
+- ``verify``    run the ``checks`` suite, printing ``ok`` or ``FAIL`` per property
+                and, for a failure, its counterexample (family, k and round)
 - ``serve``     accept identification sessions on a TCP port
 - ``client``    register against a server and run identification rounds
 
@@ -19,7 +19,7 @@ import argparse
 import hashlib
 import sys
 
-from . import inplace, owf, pebbler, protocol, schedule
+from . import checks, inplace, owf, pebbler, protocol, schedule
 
 MAX_K = 30  # memory/time guard
 
@@ -63,12 +63,10 @@ def cmd_reverse(args) -> int:
     if args.inplace:
         if args.k < 1:
             raise SystemExit("error: --inplace needs k >= 1")
-        if args.family == "speed2":
-            state = inplace.InPlaceSpeed2(fn, args.k, seed)
-        elif args.family == "optimal":
-            state = inplace.InPlaceOptimal(fn, args.k, seed)
-        else:
+        stepper = inplace.STEPPERS.get(args.family)
+        if stepper is None:
             raise SystemExit("error: --inplace supports the speed2 and optimal families")
+        state = stepper(fn, args.k, seed)
         for _ in range(1 << args.k):
             value, _ = state.step()
             print(value.hex())
@@ -80,152 +78,17 @@ def cmd_reverse(args) -> int:
     return 0
 
 
-def _check_schedule_sums(k_max):
-    return all(
-        sum(schedule.make_schedule(fam, k)) == (1 << k) - 1
-        for fam in schedule.FAMILIES
-        for k in range(k_max + 1)
-    )
-
-
-def _check_closed_form(k_max):
-    fixtures = {
-        0: [],
-        1: [1],
-        2: [0, 1, 2],
-        3: [0, 0, 0, 2, 1, 2, 2],
-        4: [0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 2, 2, 2, 3],
-    }
-    return all(
-        schedule.make_schedule("optimal", k) == t
-        for k, t in fixtures.items()
-        if k <= k_max
-    )
-
-
-def _check_rounding(k_max):
-    for k in range(2, k_max + 1):
-        halves = schedule.unrounded_optimal(k)  # recursive == explicit, asserted inside
-        if schedule.parity_round(halves, k) != schedule.make_schedule("optimal", k):
-            return False
-    return True
-
-
-def _check_key_equation(k_max):
-    return all(schedule.key_equation_holds(k) for k in range(2, k_max + 1))
-
-
-def _check_work_bounds(k_max):
-    for k in range(1, k_max + 1):
-        if max(schedule.work_sequence("speed1", k), default=0) != max(k - 1, 0):
-            return False
-        if max(schedule.work_sequence("speed2", k), default=0) != max(k - 1, 0):
-            return False
-        if k >= 2:
-            want = (k + 1) // 2
-            if max(schedule.work_sequence("optimal", k)) != want:
-                return False
-            if any(
-                max(schedule.work_sequence(fam, k)) < want for fam in schedule.FAMILIES
-            ):
-                return False
-    return True
-
-
-def _check_oracle_reversal(k_max, fn, seed):
-    for k in range(min(k_max, 12) + 1):
-        want = pebbler.reverse_oracle(fn, k, seed)
-        for fam in schedule.FAMILIES:
-            if pebbler.run_outputs(fn, fam, k, seed) != want:
-                return False
-    return True
-
-
-def _check_storage(k_max, fn, seed):
-    for k in range(1, min(k_max, 10) + 1):
-        for fam in schedule.FAMILIES:
-            rows = pebbler.run_trace(fn, fam, k, seed)
-            if rows[0].storage != 1 or rows[(1 << k) - 1].storage != k + 1:
-                return False
-            top = max(row.storage for row in rows)
-            if fam == "speed1" and top != max(k + 1, 2 * k - 2):
-                return False
-            if fam in ("speed2", "optimal") and top != k + 1:
-                return False
-    return True
-
-
-def _inplace_stream(state, n):
-    return [state.step() for _ in range(n)]
-
-
-def _framework_stream(fn, fam, k, seed):
-    p = pebbler.Pebbler(fn, fam, k, seed)
-    p.finish_setup()
-    out = []
-    for _ in range(1 << k):
-        res = p.step()
-        out.append((res.output, res.hashes))
-    return out
-
-
-def _check_inplace(k_max, fn, seed, variant):
-    cls = inplace.InPlaceSpeed2 if variant == "speed2" else inplace.InPlaceOptimal
-    for k in range(1, min(k_max, 10) + 1):
-        want = _framework_stream(fn, variant, k, seed)
-        if _inplace_stream(cls(fn, k, seed), 1 << k) != want:
-            return False
-    return True
-
-
-def _check_counter_decoding(k_max, fn, seed):
-    for k in range(1, min(k_max, 8) + 1):
-        p = pebbler.Pebbler(fn, "optimal", k, seed)
-        for _ in range(1 << k):
-            p.step()
-        for r in range((1 << k) + 1, 1 << (k + 1)):
-            c = (1 << (k + 1)) - r
-            live = p.live_pebblers()
-            decoded = inplace.decode_states(k, c)
-            if [d.index for d in decoded] != [i for i, _ in live]:
-                return False
-            for d, (i, rho) in zip(decoded, live):
-                if d.local_counter != (1 << (i + 1)) - rho:
-                    return False
-            for i, doubled in inplace.segment_budgets(k, c):
-                rho = (1 << (i + 1)) - c % (1 << (i + 1))
-                halves = [2] if i == 1 else schedule.unrounded_optimal(i)
-                if doubled != halves[rho - 1]:
-                    return False
-            p.step()
-    return True
-
-
 def cmd_verify(args) -> int:
     fn = owf.builtin("testmix64")
-    seed = default_seed(fn)
-    checks = [
-        ("schedule-sums", lambda: _check_schedule_sums(args.k_max)),
-        ("closed-form-fixtures", lambda: _check_closed_form(args.k_max)),
-        ("recursive-vs-explicit-rounding", lambda: _check_rounding(args.k_max)),
-        ("key-equation", lambda: _check_key_equation(max(args.k_max, 2))),
-        ("work-bounds", lambda: _check_work_bounds(args.k_max)),
-        ("oracle-reversal", lambda: _check_oracle_reversal(args.k_max, fn, seed)),
-        ("storage-bounds", lambda: _check_storage(args.k_max, fn, seed)),
-        ("inplace-speed2-equivalence", lambda: _check_inplace(args.k_max, fn, seed, "speed2")),
-        ("inplace-optimal-equivalence", lambda: _check_inplace(args.k_max, fn, seed, "optimal")),
-        ("counter-decoding", lambda: _check_counter_decoding(args.k_max, fn, seed)),
-    ]
     failed = 0
-    for name, run in checks:
+    for name, check in checks.suite(fn, default_seed(fn), args.k_max):
         try:
-            ok = run()
+            check()
         except Exception as exc:  # a crash is a failed property, not a crashed CLI
             print(f"FAIL {name} ({exc})")
             failed += 1
-            continue
-        print(("ok   " if ok else "FAIL ") + name)
-        failed += 0 if ok else 1
+        else:
+            print(f"ok   {name}")
     return 1 if failed else 0
 
 

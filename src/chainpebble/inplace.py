@@ -58,22 +58,6 @@ HASHING = "hashing"
 FIRST_OUTPUT = "first-output"
 
 
-def strip_zeros(c: int) -> tuple[int, int]:
-    """Count and remove trailing 0-bits; c must be positive."""
-    if c <= 0:
-        raise ValueError("strip_zeros needs c > 0")
-    n = (c & -c).bit_length() - 1
-    return n, c >> n
-
-
-def strip_ones(c: int) -> tuple[int, int]:
-    """Count and remove trailing 1-bits; c must be nonnegative."""
-    if c < 0:
-        raise ValueError("strip_ones needs c >= 0")
-    n = ((c + 1) & -(c + 1)).bit_length() - 1
-    return n, c >> n
-
-
 @dataclass(frozen=True)
 class PebblerPhase:
     """One live sub-pebbler as decoded from the countdown."""
@@ -197,8 +181,7 @@ class InPlaceSpeed2:
                     raise _wrong_width(owf, v)
                 hashes += 1
             z[q] = v
-            # strip_zeros then strip_ones: skip to the first clear bit above
-            # the lowest run of set bits
+            # skip to the first clear bit above the lowest run of set bits
             n = c + (c & -c)
             n = (n & -n).bit_length() - 1
             c >>= n
@@ -275,6 +258,7 @@ class InPlaceOptimal:
         return out, hashes
 
 
+STEPPERS = {"speed2": InPlaceSpeed2, "optimal": InPlaceOptimal}
 _VARIANT_CODES = {"speed2": 2, "optimal": 3}
 _CODE_VARIANTS = {v: n for n, v in _VARIANT_CODES.items()}
 
@@ -312,13 +296,12 @@ def restore(data: bytes, owf: Owf):
         raise DecodeError("round counter out of range")
     width = owf.width
     body = data[6:]
+    cls = STEPPERS[variant]
+    state = cls.__new__(cls)
+    state.owf, state.k, state.r = owf, k, r
     if variant == "speed2":
         if len(body) != k * width:
             raise DecodeError("slot area has the wrong size")
-        state = InPlaceSpeed2.__new__(InPlaceSpeed2)
-        state.owf = owf
-        state.k = k
-        state.r = r
         state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]
         # the cached first emission is a pure function of slot 0
         state._pending = None
@@ -338,9 +321,5 @@ def restore(data: bytes, owf: Owf):
             slots.append(None)
         else:
             raise DecodeError("bad presence flag")
-    state = InPlaceOptimal.__new__(InPlaceOptimal)
-    state.owf = owf
-    state.k = k
-    state.r = r
     state.z = slots
     return state

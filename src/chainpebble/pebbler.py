@@ -11,8 +11,7 @@ reverse, one element per round over the last 2^k rounds.
 
 The tree is kept flat: ``Pebbler.children`` is the frontier of runs (the
 sub-pebblers still holding values), highest order first.  The run at its
-hand-off is always the last: it is popped and its children appended;
-stepping the frontier reversed reverses the children at every level.
+hand-off is always the last: it is popped and its children appended.
 
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
@@ -122,17 +121,13 @@ class _Run:
 class Pebbler:
     """Single-owner state machine; each step() call runs one round."""
 
-    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "child_order",
-                 "_rule")
+    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "_rule")
 
-    def __init__(self, owf: Owf, family: str, k: int, seed: bytes,
-                 child_order: str = "descending"):
+    def __init__(self, owf: Owf, family: str, k: int, seed: bytes):
         if k < 0:
             raise ValueError("order k must be >= 0")
         if family not in RULES:
             raise ValueError(f"unknown schedule family {family!r}")
-        if child_order not in ("descending", "ascending"):
-            raise ValueError("child_order must be 'descending' or 'ascending'")
         if len(seed) != owf.width:
             raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
@@ -141,7 +136,6 @@ class Pebbler:
         self.lifetime = (1 << (k + 1)) - 1
         self.round_no = 1
         self.children = [_Run(k, seed, 1 << k)]  # frontier; the root run waits at its hand-off
-        self.child_order = child_order
         self._rule = RULES[family]
 
     @property
@@ -187,7 +181,7 @@ class Pebbler:
         else:
             out = z[0]
         hashes = 0
-        for run in reversed(frontier) if self.child_order == "ascending" else frontier:
+        for run in frontier:
             q = run.round_no
             run.round_no = q + 1
             if q >= 1 << run.k:
@@ -240,10 +234,9 @@ def reverse_oracle(owf: Owf, k: int, seed: bytes) -> list[bytes]:
     return xs
 
 
-def run_outputs(owf: Owf, family: str, k: int, seed: bytes,
-                child_order: str = "descending") -> list[bytes]:
+def run_outputs(owf: Owf, family: str, k: int, seed: bytes) -> list[bytes]:
     """Drive a pebbler through its whole lifetime and collect its outputs."""
-    p = Pebbler(owf, family, k, seed, child_order)
+    p = Pebbler(owf, family, k, seed)
     out = []
     for _ in range(p.lifetime):
         res = p.step()
@@ -252,10 +245,9 @@ def run_outputs(owf: Owf, family: str, k: int, seed: bytes,
     return out
 
 
-def run_trace(owf: Owf, family: str, k: int, seed: bytes,
-              child_order: str = "descending") -> list[TraceRow]:
+def run_trace(owf: Owf, family: str, k: int, seed: bytes) -> list[TraceRow]:
     """Per-round hashes, start-of-round storage, and output for a full run."""
-    p = Pebbler(owf, family, k, seed, child_order)
+    p = Pebbler(owf, family, k, seed)
     rows = []
     for _ in range(p.lifetime):
         held = p.storage()

@@ -33,11 +33,11 @@ import socketserver
 import threading
 import time
 
-from .inplace import InPlaceOptimal, InPlaceSpeed2
+from .inplace import STEPPERS
 from .owf import Owf, evaluate
 from .pebbler import ExhaustedError, Pebbler
 
-ENGINES = ("framework", "inplace-speed2", "inplace-optimal")
+ENGINES = ("framework", *(f"inplace-{variant}" for variant in STEPPERS))
 MAX_LINE = 1024  # bytes per wire line, LF included
 IDLE_TIMEOUT = 60.0  # seconds the server waits for each whole line
 MAX_SESSIONS = 64  # sessions the server runs at once, one thread each
@@ -64,11 +64,8 @@ class Prover:
             pebbler = Pebbler(owf, family, k, seed)
             pebbler.finish_setup()  # set-up rounds emit nothing: one fill
             step = pebbler._round
-        elif engine == "inplace-speed2":
-            pebbler = InPlaceSpeed2(owf, k, seed)
-            step = pebbler.step
-        elif engine == "inplace-optimal":
-            pebbler = InPlaceOptimal(owf, k, seed)
+        elif engine in ENGINES:
+            pebbler = STEPPERS[engine.removeprefix("inplace-")](owf, k, seed)
             step = pebbler.step
         else:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -252,14 +249,14 @@ def _flip_bit(v: bytes) -> bytes:
 
 
 def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
-               tamper: int | None = None, engine: str = "auto", report=print) -> int:
+               tamper: int | None = None, report=print) -> int:
     """Register, then run identification rounds against a server.
 
     ``tamper`` flips one bit in that round's value before sending; the next
     round retries the same value honestly, demonstrating that a rejection
     leaves the verifier's anchor unchanged.  Returns a process exit status.
     """
-    prover = Prover(owf, k, seed, engine)
+    prover = Prover(owf, k, seed)
     try:
         conn = socket.create_connection((host, port))
     except OSError as exc:

@@ -2,48 +2,23 @@
 
 Each criterion prints its own pass/fail line; run with ``pytest -s`` (or read
 the captured output on failure).  All checks are exact unless a tolerance is
-stated inline.
+stated inline.  Criteria 1-7 run the ``chainpebble.checks`` that ``verify``
+runs, over wider ranges; a failure names its counterexample.
 """
 
 import functools
 import math
-import random
 import socket
 import threading
 
 import pytest
 
-from chainpebble.inplace import (
-    FIRST_OUTPUT,
-    HASHING,
-    IDLE,
-    InPlaceOptimal,
-    InPlaceSpeed2,
-    decode_states,
-    restore,
-    save,
-    segment_budgets,
-)
+from chainpebble import checks
+from chainpebble.inplace import FIRST_OUTPUT, HASHING, IDLE, decode_states, segment_budgets
 from chainpebble.owf import builtin, evaluate, iterate
-from chainpebble.pebbler import (
-    ExhaustedError,
-    Pebbler,
-    reverse_oracle,
-    run_outputs,
-    run_trace,
-)
+from chainpebble.pebbler import ExhaustedError, run_trace
 from chainpebble.protocol import IdentificationServer, Prover
-from chainpebble.schedule import (
-    FAMILIES,
-    image_deficit,
-    key_equation_holds,
-    make_schedule,
-    parity_round,
-    unrounded_head,
-    unrounded_optimal,
-    unrounded_tail,
-    work_sequence,
-)
+from chainpebble.schedule import image_deficit, unrounded_head, unrounded_tail, work_sequence
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -68,20 +43,12 @@ def criterion(number, label):
 @criterion(1, "oracle reversal, all families and owfs, k <= 12")
 def test_criterion_01_oracle_reversal():
     for owf in (MIX, MD5):
-        seed = SEEDS[owf.name]
-        for k in range(13):
-            want = reverse_oracle(owf, k, seed)
-            for family in FAMILIES:
-                assert run_outputs(owf, family, k, seed) == want, (owf.name, family, k)
+        checks.oracle_reversal(owf, SEEDS[owf.name], range(13))
 
 
 @criterion(2, "published schedule fixtures, exact half-integers")
 def test_criterion_02_schedule_fixtures():
-    assert make_schedule("optimal", 0) == []
-    assert make_schedule("optimal", 1) == [1]
-    assert make_schedule("optimal", 2) == [0, 1, 2]
-    assert make_schedule("optimal", 3) == [0, 0, 0, 2, 1, 2, 2]
-    assert make_schedule("optimal", 4) == [0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 2, 2, 2, 3]
+    checks.closed_form_fixtures(range(5))
     assert unrounded_head(3) == [4, 2] and unrounded_tail(3) == [4, 4]  # 2,1 and 2,2
     assert unrounded_head(4) == [5, 3, 2, 2]  # 5/2, 3/2, 1, 1
     assert unrounded_tail(4) == [5, 3, 5, 5]  # 5/2, 3/2, 5/2, 5/2
@@ -92,70 +59,25 @@ def test_criterion_02_schedule_fixtures():
 def test_criterion_03_work_bounds():
     assert work_sequence("rushing", 4)[23 - 17] == 7
     assert work_sequence("speed2", 4)[21 - 17] == 3
-    for k in range(1, 15):
-        assert max(work_sequence("speed1", k)) == k - 1
-        assert max(work_sequence("speed2", k)) == k - 1
-    for k in range(2, 15):
-        lower = (k + 1) // 2
-        assert max(work_sequence("optimal", k)) == lower
-        for family in FAMILIES:
-            assert max(work_sequence(family, k)) >= lower
+    checks.work_bounds(range(1, 15))
 
 
 @criterion(4, "storage bounds via traces, exact")
 def test_criterion_04_storage_bounds():
-    for k in range(1, 13):
-        for family in FAMILIES:
-            rows = run_trace(MIX, family, k, SEEDS["testmix64"])
-            assert rows[0].storage == 1, (family, k)
-            assert rows[(1 << k) - 1].storage == k + 1, (family, k)
-            top = max(row.storage for row in rows)
-            if family == "speed1":
-                assert top == max(k + 1, 2 * k - 2), k
-            elif family in ("speed2", "optimal"):
-                assert top == k + 1, (family, k)
+    checks.storage_bounds(MIX, SEEDS["testmix64"], range(1, 13))
 
 
 @criterion(5, "exact identities: key equation, rounding, budget sums")
 def test_criterion_05_exact_identities():
-    for k in range(2, 15):
-        assert key_equation_holds(k), k
-        halves = unrounded_optimal(k)  # recursive == explicit asserted inside
-        assert parity_round(halves, k) == make_schedule("optimal", k), k
-    for k in range(21):
-        for family in FAMILIES:
-            assert sum(make_schedule(family, k)) == (1 << k) - 1, (family, k)
-
-
-def _reversal_stream(family, k, seed):
-    p = Pebbler(MIX, family, k, seed)
-    for _ in range((1 << k) - 1):
-        p.step()
-    pairs = []
-    for _ in range(1 << k):
-        res = p.step()
-        pairs.append((res.output, res.hashes))
-    return pairs
+    checks.key_equation(range(2, 15))
+    checks.rounding(range(2, 15))
+    checks.schedule_sums(range(21))
 
 
 @criterion(6, "in-place equivalence and save/restore round-trips")
 def test_criterion_06_inplace_equivalence():
-    seed = SEEDS["testmix64"]
-    rng = random.Random(2024)
-    for cls, variant, k_top in ((InPlaceSpeed2, "speed2", 12), (InPlaceOptimal, "optimal", 10)):
-        for k in range(1, k_top + 1):
-            want = _reversal_stream(variant, k, seed)
-            state = cls(MIX, k, seed)
-            blobs = [save(state)]
-            got = []
-            for _ in range(1 << k):
-                got.append(state.step())
-                blobs.append(save(state))
-            assert got == want, (variant, k)
-            for at in rng.sample(range(1 << k), min(20, 1 << k)):
-                resumed = restore(blobs[at], MIX)
-                rest = [resumed.step() for _ in range((1 << k) - at)]
-                assert rest == got[at:], (variant, k, at)
+    checks.inplace_equivalence(MIX, SEEDS["testmix64"], "speed2", range(1, 13))
+    checks.inplace_equivalence(MIX, SEEDS["testmix64"], "optimal", range(1, 11))
 
 
 @criterion(7, "counter decoding and bit-segment budgets")
@@ -164,29 +86,7 @@ def test_criterion_07_counter_decoding():
     assert got == [(8, HASHING), (6, IDLE), (5, HASHING), (3, FIRST_OUTPUT)]
     assert segment_budgets(9, 360) == [(8, 3), (5, 6)]  # 3/2 and 3
     assert sum(d for _, d in segment_budgets(9, 360)) == 9  # 9/2 in total
-    seed = SEEDS["testmix64"]
-    for k in range(1, 11):
-        p = Pebbler(MIX, "optimal", k, seed)
-        for _ in range(1 << k):
-            p.step()
-        for r in range((1 << k) + 1, 1 << (k + 1)):
-            c = (1 << (k + 1)) - r
-            live = p.live_pebblers()
-            decoded = decode_states(k, c)
-            assert [d.index for d in decoded] == [i for i, _ in live], (k, r)
-            for d, (i, rho) in zip(decoded, live):
-                assert d.local_counter == (1 << (i + 1)) - rho
-                if rho == 1 << i:
-                    assert d.phase == FIRST_OUTPUT
-                elif i >= 1 and rho <= 1 << (i - 1):
-                    assert d.phase == IDLE
-                else:
-                    assert d.phase == HASHING
-            for i, doubled in segment_budgets(k, c):
-                rho = (1 << (i + 1)) - c % (1 << (i + 1))
-                halves = [2] if i == 1 else unrounded_optimal(i)
-                assert doubled == halves[rho - 1], (k, c, i)
-            p.step()
+    checks.counter_decoding(MIX, SEEDS["testmix64"], range(1, 11))
 
 
 @criterion(8, "protocol end-to-end over loopback, k=8")

@@ -2,10 +2,11 @@
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
-from chainpebble import cli, pebbler, schedule
+from chainpebble import checks, cli, inplace, pebbler, schedule
 from chainpebble.owf import builtin
 from chainpebble.pebbler import reverse_oracle
 from chainpebble.protocol import IdentificationServer
@@ -140,7 +141,61 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     monkeypatch.setattr(schedule, "make_schedule", corrupted)
     status, out = run_cli(capsys, "verify", "--k-max", "6")
     assert status == 1
-    assert any(line.startswith("FAIL") for line in out.splitlines())
+    assert "FAIL schedule-sums (optimal k=5)" in out.splitlines()
+
+
+def _corrupt(good, where, change):
+    """good, with change applied to its result whenever where(*args) holds."""
+    return lambda *args: change(good(*args)) if where(*args) else good(*args)
+
+
+def _always(*args):
+    return True
+
+
+def _bump_last(seq):
+    return seq[:-1] + [seq[-1] + 1]
+
+
+def _flip_next_output(state):
+    state.z[0] = bytes([state.z[0][0] ^ 1]) + state.z[0][1:]
+    return state
+
+
+# per check of the verify suite: (object, attribute, fault made from the original)
+FAULTS = {
+    "schedule-sums": (schedule, "make_schedule", lambda good: _corrupt(
+        good, lambda family, k: family == "speed1" and k == 3, _bump_last)),
+    "closed-form-fixtures": (schedule, "make_schedule", lambda good: _corrupt(
+        good, lambda family, k: k == 4, _bump_last)),
+    "recursive-vs-explicit-rounding": (schedule, "parity_round", lambda good: (
+        lambda halves, k: [d // 2 for d in halves])),  # floors instead
+    "key-equation": (schedule, "work_sequence_half", lambda good: _corrupt(
+        good, lambda k: k == 4, _bump_last)),
+    "work-bounds": (schedule, "work_sequence", lambda good: _corrupt(
+        good, lambda family, k: family == "optimal", _bump_last)),
+    "oracle-reversal": (pebbler, "run_outputs", lambda good: _corrupt(
+        good, lambda owf, family, k, seed: family == "speed1" and k == 5, lambda out: out[:-1])),
+    "storage-bounds": (pebbler.Pebbler, "storage", lambda good: (
+        lambda self: good(self) + (self.round_no == 1 << self.k))),  # off by one
+    "inplace-speed2-equivalence": (inplace.InPlaceSpeed2, "step", lambda good: _corrupt(
+        good, lambda self: self.r == (2 << self.k) - 1, lambda res: (res[0], res[1] + 1))),
+    "inplace-optimal-equivalence": (inplace, "restore", lambda good: _corrupt(
+        good, _always, _flip_next_output)),
+    "counter-decoding": (inplace, "decode_states", lambda good: _corrupt(
+        good, _always, lambda found: [replace(d, phase=inplace.HASHING) for d in found])),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in checks.suite(MIX, b"", 0)])
+def test_each_check_catches_its_fault(name, monkeypatch):
+    # a check that cannot fail would pass both verify and the acceptance tests
+    check = dict(checks.suite(MIX, cli.default_seed(MIX), 6))[name]
+    check()
+    obj, attr, fault = FAULTS[name]
+    monkeypatch.setattr(obj, attr, fault(getattr(obj, attr)))
+    with pytest.raises(checks.CheckFailed, match=r"k=\d"):
+        check()
 
 
 def test_serve_and_client_loopback(capsys):

@@ -1,4 +1,4 @@
-"""In-place pebblers: bit tricks, counter decoding, and framework equivalence."""
+"""In-place pebblers: counter decoding, framework equivalence, save and restore."""
 
 import random
 import tracemalloc
@@ -17,8 +17,6 @@ from chainpebble.inplace import (
     restore,
     save,
     segment_budgets,
-    strip_ones,
-    strip_zeros,
 )
 from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler
@@ -58,35 +56,6 @@ def counting(owf):
         return owf.fn(v)
 
     return Owf(owf.name, owf.width, fn), calls
-
-
-# -- bit manipulation ---------------------------------------------------------
-
-def test_strip_zeros_examples():
-    assert strip_zeros(360) == (3, 45)
-    assert strip_zeros(1) == (0, 1)
-    with pytest.raises(ValueError):
-        strip_zeros(0)
-
-
-def test_strip_ones_examples():
-    assert strip_ones(45) == (1, 22)
-    assert strip_ones(44) == (0, 44)
-    assert strip_ones(0) == (0, 0)
-
-
-@given(st.integers(1, 2**40))
-def test_strip_zeros_reassembles(c):
-    n, rest = strip_zeros(c)
-    assert rest & 1
-    assert rest << n == c
-
-
-@given(st.integers(0, 2**40))
-def test_strip_ones_reassembles(c):
-    n, rest = strip_ones(c)
-    assert rest & 1 == 0
-    assert (rest << n) | ((1 << n) - 1) == c
 
 
 # -- counter decoding ---------------------------------------------------------

@@ -44,6 +44,9 @@ GOLDEN_TRACE_SHA256 = {
 # sha256 of repr(live_pebblers()) after every round for k = 0..8, one line
 # each; the sub-pebbler lifetimes do not depend on the family
 GOLDEN_LIVE_SHA256 = "96283a321b6247480d32fb5449b94bef40d105e5f6907231b59e40be722a760c"
+# the frontier is stepped highest order first; the ids keep the names the
+# digests were pinned under
+DESCENDING = [pytest.param(family, id=f"{family}-descending") for family in FAMILIES]
 
 
 def test_reverse_oracle_shape():
@@ -162,29 +165,20 @@ def test_rushing_total_hashes(k):
     assert sum(row.hashes for row in rows) == want
 
 
-def test_child_order_is_irrelevant():
-    for family in FAMILIES:
-        down = run_trace(MIX, family, 6, SEED, child_order="descending")
-        up = run_trace(MIX, family, 6, SEED, child_order="ascending")
-        assert down == up
-
-
-@pytest.mark.parametrize("child_order", ["descending", "ascending"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_trace_golden_digest(family, child_order):
+@pytest.mark.parametrize("family", DESCENDING)
+def test_trace_golden_digest(family):
     digest = hashlib.sha256()
     for k in range(11):
-        for line in trace_csv_lines(run_trace(MIX, family, k, SEED, child_order)):
+        for line in trace_csv_lines(run_trace(MIX, family, k, SEED)):
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256[family]
 
 
-@pytest.mark.parametrize("child_order", ["descending", "ascending"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_live_pebblers_golden_digest(family, child_order):
+@pytest.mark.parametrize("family", DESCENDING)
+def test_live_pebblers_golden_digest(family):
     digest = hashlib.sha256()
     for k in range(9):
-        p = Pebbler(MIX, family, k, SEED, child_order)
+        p = Pebbler(MIX, family, k, SEED)
         for _ in range(p.lifetime):
             p.step()
             digest.update(repr(p.live_pebblers()).encode() + b"\n")
@@ -249,18 +243,17 @@ def test_round_without_an_emitter_fails_loudly():
         p.step()
 
 
-def _past_handoff(k, child_order="descending"):
+def _past_handoff(k):
     """An order-k pebbler just after its hand-off: runs of orders k-1..0."""
-    p = Pebbler(MIX, "optimal", k, SEED, child_order)
+    p = Pebbler(MIX, "optimal", k, SEED)
     for _ in range(1 << k):
         p.step()
     assert p.live_pebblers() == [(i, 1) for i in range(k - 1, -1, -1)]
     return p
 
 
-@pytest.mark.parametrize("child_order", ["descending", "ascending"])
-def test_two_runs_at_their_handoff_fail_loudly(child_order):
-    p = _past_handoff(3, child_order)
+def test_two_runs_at_their_handoff_fail_loudly():
+    p = _past_handoff(3)
     p.children[0].round_no = 1 << 2  # order 2 jumps to its hand-off beside order 0's
     with pytest.raises(RuntimeError, match="exactly one run"):
         p.step()
@@ -286,12 +279,11 @@ def test_redundant_after_handoff_and_frontier_at_most_k_runs(k):
     assert p.redundant and p.children == []
 
 
-@pytest.mark.parametrize("child_order", ["descending", "ascending"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_runs_get_slots_only_once_they_hash(family, child_order):
+@pytest.mark.parametrize("family", DESCENDING)
+def test_runs_get_slots_only_once_they_hash(family):
     # a run holds its seed alone until its first hash gives it k+1 slots
     for k in range(9):
-        p = Pebbler(MIX, family, k, SEED, child_order)
+        p = Pebbler(MIX, family, k, SEED)
         while True:
             for run in p.children:
                 assert (run.slots is None) == (run.rem == 1 << run.k), (k, p.round_no)
