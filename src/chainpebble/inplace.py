@@ -11,10 +11,11 @@ in O(1) inside the step (``schedule.optimal_remaining`` states it), not a
 table, and handed as ``rem`` (hashes still owed, plus one) to the fill loop
 that both engines share, ``pebbler._fill``; set-up is one call of it.
 
-Two variants are provided.  The speed-2 stepper keeps k slots and hard-codes
-its two-hashes-per-pebbler budget in the stepping loop.  The optimal stepper
-keeps k+1 slots and draws each sub-pebbler's budget from the bit-segment
-rule: split the countdown's bits into segments, one per working sub-pebbler
+Two variants share one layout, one set-up and one exhaustion test (the
+base ``_InPlace``) and differ only in their step.  The speed-2 stepper
+hard-codes its two-hashes-per-pebbler budget in the stepping loop.  The
+optimal stepper draws each sub-pebbler's budget from the bit-segment rule:
+split the countdown's bits into segments, one per working sub-pebbler
 (ignoring the rightmost, which is emitting), each segment running from the
 pebbler's own bit down to just above the next working pebbler's bit; the
 budget is half the segment length, made integral by parity rounding.
@@ -22,12 +23,13 @@ A round visits only the working sub-pebblers: a set bit i (above the
 emitter's) works exactly when bit i-1 is clear or bit i-1 is the emitter's,
 so one mask of the countdown picks them out and idle pebblers cost nothing.
 
-Storage convention: a stepper holds k+1 values only at the end of set-up,
-the extra one being the element the free round 2^k emits (speed-2's
-``_pending``); from then on at most k, as the framework's ``storage()``.
-The steppers do not count their occupancy: a caller that wants it reads
-the slots between steps, so a round pays only for its hashes, its bit walk
-and its checks.
+Storage convention: both steppers keep one (k+1)-slot array.  It holds
+k+1 values only at the end of set-up, the extra one being the element the
+free round 2^k emits; from then on slot k stays empty and at most k are
+held, as the framework's ``storage()``.  The steppers do not count their
+occupancy: a caller reads it off the slots between steps
+(``len(z) - z.count(None)``), so a round pays only for its hashes, its bit
+walk and its checks.
 
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
@@ -35,13 +37,15 @@ the countdown each step computes anyway (c <= 0).  Widths are checked at
 the boundaries, not per hash through ``evaluate``: the seed once at
 construction, each one-way function output where it is computed (in
 ``_fill``, which runs set-up and optimal steps, in the speed-2 step loop,
-and for speed-2's first emission in ``restore``; all call ``owf.fn``
-directly), and slot sizes in ``restore``.  Every value hashed or emitted
-is therefore of the function's width.
+and where ``restore`` recomputes a speed-2 state's first emission; all
+call ``owf.fn`` directly), and slot sizes in ``restore``.  Every value
+hashed or emitted is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The
 steppers hold nothing else either (``__slots__``, no ``__dict__``).
+The order k is at most 30, checked at construction and in ``restore``,
+because ``save`` stores the round counter (up to 2^(k+1)) in four octets.
 ``restore`` checks the header, the counter's range, the slot area's size
 and the presence flags; a restored optimal state whose flags lie raises
 DecodeError when a step would emit an empty slot (in ``step``), hash from
@@ -92,13 +96,6 @@ def decode_states(k: int, c: int) -> list[PebblerPhase]:
     return found
 
 
-def _check_args(owf: Owf, k: int, seed: bytes) -> None:
-    if k < 1:
-        raise ValueError("in-place pebblers need k >= 1")
-    if len(seed) != owf.width:
-        raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
-
-
 def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
     """Doubled hash budgets for the sub-pebblers that work this round.
 
@@ -123,33 +120,37 @@ def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
     return [(i, i - j) for i, j in zip(working, working[1:] + [-1])]
 
 
-class InPlaceSpeed2:
-    """Speed-2 pebbler for a length-2^k chain keeping k value slots.
+MAX_K = 30  # save() stores the round counter, up to 2^(k+1), in four octets
 
-    Construction runs the whole set-up stage, spending 2^k - 1 hashes and
-    leaving slot i-1 holding f^(2^k - 2^i)(seed) for i = 1..k.  The element
-    emitted by the free first round does not fit in the k slots, so it is
-    kept as a cache, the (k+1)-th value held until round 2^k, that a restore
-    recomputes with one hash from slot 0.  Each step() emits one chain
-    element and reports the hashes spent.
-    """
 
-    variant = "speed2"
-    __slots__ = ("owf", "k", "z", "_pending", "r")
+class _InPlace:
+    """k+1 value slots and a round counter.  Construction runs the whole
+    set-up as one fill of 2^k - 1 hashes, leaving f^(2^k - 2^i)(seed) in
+    slot i; each step() returns (chain element, hashes spent)."""
+
+    __slots__ = ("owf", "k", "z", "r")
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
-        _check_args(owf, k, seed)
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"in-place pebblers need 1 <= k <= {MAX_K}")
+        if len(seed) != owf.width:
+            raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
         self.k = k
-        y: list = [None] * k + [seed]
-        _fill(owf, y, 1 << k, (1 << k) - 1)
-        self.z = y[1:]
-        self._pending = y[0]  # first emission, recomputable as f(z[0])
+        self.z = [None] * k + [seed]
+        _fill(owf, self.z, 1 << k, (1 << k) - 1)  # all k+1 slots occupied
         self.r = 1 << k
 
     @property
     def exhausted(self) -> bool:
         return self.r >= 1 << (self.k + 1)
+
+
+class InPlaceSpeed2(_InPlace):
+    """Speed-2 pebbler: its step loop spends each pebbler's two hashes itself."""
+
+    variant = "speed2"
+    __slots__ = ()
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
@@ -157,14 +158,10 @@ class InPlaceSpeed2:
         c = (2 << k) - self.r
         if c <= 0:
             raise ExhaustedError("in-place speed-2 pebbler is exhausted")
-        if c == 1 << k:
-            out = self._pending
-            self._pending = None
-            self.r += 1
-            return out, 0
         out = z[0]
         i = (c & -c).bit_length()  # one above the emitter's bit
-        z[:i - 1] = z[1:i]  # the emitter's pinned values seed its children
+        del z[0]  # the emitter's pinned values shift down to seed its children
+        z.insert(i - 1, None)
         c >>= i
         q = i - 1
         hashes = 0
@@ -191,31 +188,12 @@ class InPlaceSpeed2:
         return out, hashes
 
 
-class InPlaceOptimal:
-    """Optimal-schedule pebbler keeping k+1 value slots.
-
-    Budgets come from the countdown's bit segments, parity-rounded per
-    sub-pebbler; set-up and steps share one fill loop.  All k+1 slots are
-    full only after set-up: round 2^k empties slot k for good.  Occupancy
-    is not tracked here, so a round pays nothing for it: it is read off the
-    slots from outside (``len(z) - z.count(None)``), which is how the tests
-    check the bounds by measurement.
-    """
+class InPlaceOptimal(_InPlace):
+    """Optimal-schedule pebbler: budgets from the countdown's bit segments,
+    parity-rounded per sub-pebbler, spent through the shared fill loop."""
 
     variant = "optimal"
-    __slots__ = ("owf", "k", "z", "r")
-
-    def __init__(self, owf: Owf, k: int, seed: bytes):
-        _check_args(owf, k, seed)
-        self.owf = owf
-        self.k = k
-        self.z = [None] * k + [seed]
-        _fill(owf, self.z, 1 << k, (1 << k) - 1)  # all k+1 slots occupied
-        self.r = 1 << k
-
-    @property
-    def exhausted(self) -> bool:
-        return self.r >= 1 << (self.k + 1)
+    __slots__ = ()
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
@@ -267,15 +245,23 @@ def save(state) -> bytes:
     """Serialize (variant, k, r, slots); everything else is recomputable.
 
     Layout: one variant octet, one k octet, four big-endian r octets, then
-    the slots low index first.  Speed-2 slots are raw values; optimal slots
-    carry a presence octet (1 present, 0 absent) before the value bytes,
-    absent slots zero-filled.
+    the slots low index first.  Optimal slots carry a presence octet (1
+    present, 0 absent) before the value bytes, absent slots zero-filled.
+    Speed-2 writes k raw slots, as its earlier k-slot layout did, so old
+    blobs still restore: slot 0 is left out at round 2^k (restore rehashes
+    it from slot 1), slot k after it, and an empty slot repeats the nearest
+    value below it, which is what that layout left there (zeros if none).
     """
     head = bytes([_VARIANT_CODES[state.variant], state.k]) + state.r.to_bytes(4, "big")
     width = state.owf.width
-    if state.variant == "speed2":
-        return head + b"".join(state.z)
     parts = []
+    if state.variant == "speed2":
+        z = state.z[1:] if state.r == 1 << state.k else state.z[:state.k]
+        last = bytes(width)
+        for v in z:
+            last = last if v is None else v
+            parts.append(last)
+        return head + b"".join(parts)
     for v in state.z:
         parts.append(b"\x01" + v if v is not None else b"\x00" + bytes(width))
     return head + b"".join(parts)
@@ -290,8 +276,8 @@ def restore(data: bytes, owf: Owf):
     variant = _CODE_VARIANTS.get(code)
     if variant is None:
         raise DecodeError(f"unknown variant code {code}")
-    if k < 1:
-        raise DecodeError("order must be >= 1")
+    if not 1 <= k <= MAX_K:
+        raise DecodeError(f"order must be 1..{MAX_K}")
     if not (1 << k) <= r <= 1 << (k + 1):
         raise DecodeError("round counter out of range")
     width = owf.width
@@ -303,12 +289,13 @@ def restore(data: bytes, owf: Owf):
         if len(body) != k * width:
             raise DecodeError("slot area has the wrong size")
         state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]
-        # the cached first emission is a pure function of slot 0
-        state._pending = None
-        if r == 1 << k:
-            state._pending = owf.fn(state.z[0])
-            if len(state._pending) != width:
-                raise _wrong_width(owf, state._pending)
+        if r == 1 << k:  # the first emission, left out of the blob, is f(slot 0)
+            v = owf.fn(state.z[0])
+            if len(v) != width:
+                raise _wrong_width(owf, v)
+            state.z.insert(0, v)
+        else:
+            state.z.append(None)
         return state
     if len(body) != (k + 1) * (width + 1):
         raise DecodeError("slot area has the wrong size")

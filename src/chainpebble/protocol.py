@@ -52,7 +52,7 @@ class Prover:
     """
 
     __slots__ = ("owf", "n", "released", "last_hashes", "pebbler", "_step", "endpoint",
-                 "_pending", "_pending_hashes")
+                 "_pending")
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str = "optimal"):
@@ -75,17 +75,16 @@ class Prover:
         self.last_hashes = 0
         self.pebbler = pebbler
         self._step = step
-        first, hashes = step()  # free first round
+        first, _ = step()  # free first round: no hashes on any engine
         self.endpoint = evaluate(owf, first)
         self._pending: bytes | None = first
-        self._pending_hashes = hashes
 
     def next_value(self) -> bytes:
         """Release the next preimage, running the pebbler's round internally."""
         if self.released >= self.n:
             raise ExhaustedError(f"chain exhausted after {self.n} releases")
         if self._pending is not None:
-            value, self.last_hashes = self._pending, self._pending_hashes
+            value, self.last_hashes = self._pending, 0
             self._pending = None
         else:
             value, self.last_hashes = self._step()

@@ -13,13 +13,14 @@ from chainpebble.inplace import (
     DecodeError,
     InPlaceOptimal,
     InPlaceSpeed2,
+    STEPPERS,
     decode_states,
     restore,
     save,
     segment_budgets,
 )
 from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
-from chainpebble.pebbler import ExhaustedError, Pebbler
+from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import Verifier
 from chainpebble.schedule import unrounded_optimal, work_sequence
 
@@ -41,10 +42,8 @@ def reversal_stream(family, k, seed=SEED, owf=MIX):
 
 
 def _occupied(state):
-    """Values a stepper holds, read from outside: its filled slots plus
-    speed-2's cached first emission."""
-    held = len(state.z) - state.z.count(None)
-    return held + (getattr(state, "_pending", None) is not None)
+    """Values a stepper holds, read from outside: its filled slots."""
+    return len(state.z) - state.z.count(None)
 
 
 def counting(owf):
@@ -143,7 +142,7 @@ def test_budgets_equal_unrounded_schedule(k):
 
 def test_speed2_smallest_order():
     st2 = InPlaceSpeed2(MIX, 1, SEED)
-    assert st2.z == [SEED]
+    assert st2.z == [evaluate(MIX, SEED), SEED]
     assert st2.step() == (evaluate(MIX, SEED), 0)
     assert st2.step() == (SEED, 0)
     assert st2.exhausted
@@ -153,8 +152,7 @@ def test_speed2_smallest_order():
 
 def test_speed2_setup_layout():
     st2 = InPlaceSpeed2(MIX, 4, SEED)
-    assert st2.z == [iterate(MIX, SEED, 14), iterate(MIX, SEED, 12),
-                     iterate(MIX, SEED, 8), SEED]
+    assert st2.z == [iterate(MIX, SEED, 16 - (1 << m)) for m in range(5)]
 
 
 def test_speed2_setup_hash_total():
@@ -221,11 +219,14 @@ def test_optimal_first_round_outputs_pinned_slot():
     assert out == iterate(MIX, SEED, 15) and hashes == 0
 
 
-@pytest.mark.parametrize("k", range(1, 11))
-def test_optimal_holds_k_values_after_setup(k):
-    # k+1 values only at the end of set-up; the extra one is emitted in
-    # round 2^k, after which slot k stays empty
-    sto = InPlaceOptimal(MIX, k, SEED)
+@pytest.mark.parametrize("cls,k", [
+    *(pytest.param(InPlaceOptimal, k, id=str(k)) for k in range(1, 11)),
+    *(pytest.param(InPlaceSpeed2, k, id=f"speed2-{k}") for k in range(1, 11)),
+])
+def test_optimal_holds_k_values_after_setup(cls, k):
+    # both steppers: k+1 values only at the end of set-up; the extra one is
+    # emitted in round 2^k, after which slot k stays empty
+    sto = cls(MIX, k, SEED)
     assert len(sto.z) - sto.z.count(None) == k + 1
     for _ in range(1 << k):
         sto.step()
@@ -295,8 +296,28 @@ def test_inplace_rejects_order_zero():
         InPlaceOptimal(MIX, 0, SEED)
 
 
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+@pytest.mark.parametrize("k", [31, 300])
+def test_inplace_rejects_order_above_30(cls, k):
+    # save() keeps r <= 2^(k+1) in four octets; refused before any hashing
+    fn, calls = counting(MIX)
+    with pytest.raises(ValueError):
+        cls(fn, k, SEED)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("code,slots,flag", [(2, 31, b""), (3, 32, b"\x01")])
+def test_restore_rejects_order_above_30(code, slots, flag):
+    # a well-formed k=31 blob one round before exhaustion (r = 2^32 - 1)
+    blob = bytes([code, 31]) + (2**32 - 1).to_bytes(4, "big") + (flag + SEED) * slots
+    fn, calls = counting(MIX)
+    with pytest.raises(DecodeError):
+        restore(blob, fn)
+    assert calls[0] == 0
+
+
 @pytest.mark.parametrize("cls,names", [
-    (InPlaceSpeed2, {"owf", "k", "z", "_pending", "r"}),
+    (InPlaceSpeed2, {"owf", "k", "z", "r"}),
     (InPlaceOptimal, {"owf", "k", "z", "r"}),
 ])
 def test_inplace_state_is_counter_plus_slots(cls, names):
@@ -395,6 +416,42 @@ def test_restore_any_flipped_presence_flag_fails_loudly_or_changes_nothing():
                 continue
             assert remaining == stream[at:], (at, s)
     assert raised[0] and raised[1]
+
+
+# save() hex made by the k-slot speed-2 layout this format comes from, at
+# k=5, seed SEED, testmix64, rounds 2^k, 2^k + 11 and 2^(k+1) - 1
+GOLDEN_SAVES = {
+    ("speed2", 32): "0205000000207f6fb990c484111f8f5610a41fb7a48d2f4fa1d427b513db"
+                    "1d6e0cabd8586a950123456789abcdef",
+    ("speed2", 43): "02050000002bc2015eba0c63344e196c007c8eda0b041d6e0cabd8586a95"
+                    "6e51092e36d66ba20123456789abcdef",
+    ("speed2", 63): "02050000003f0123456789abcdef0123456789abcdef0123456789abcdef"
+                    "0123456789abcdef0123456789abcdef",
+    ("optimal", 32): "0305000000200136478ab29412c3f6017f6fb990c484111f018f5610a41f"
+                     "b7a48d012f4fa1d427b513db011d6e0cabd8586a95010123456789abcdef",
+    ("optimal", 43): "03050000002b01c2015eba0c63344e01930d7460c0d8f840011d6e0cabd8"
+                     "586a9501d780001afd0a3a0d010123456789abcdef000000000000000000",
+    ("optimal", 63): "03050000003f010123456789abcdef000000000000000000000000000000"
+                     "000000000000000000000000000000000000000000000000000000000000",
+}
+
+
+@pytest.mark.parametrize("variant,r", list(GOLDEN_SAVES))
+def test_save_format_is_stable(variant, r):
+    # a fresh stepper saves the pinned bytes, and the pinned bytes restore to
+    # the rest of the reversal, outputs and hash counts
+    k = 5
+    state = STEPPERS[variant](MIX, k, SEED)
+    while state.r < r:
+        state.step()
+    blob = bytes.fromhex(GOLDEN_SAVES[variant, r])
+    assert save(state) == blob
+    resumed = restore(blob, MIX)
+    rest = [resumed.step() for _ in range((2 << k) - r)]
+    at = r - (1 << k)
+    assert [out for out, _ in rest] == reverse_oracle(MIX, k, SEED)[at:]
+    assert [h for _, h in rest] == ([0] + work_sequence(variant, k))[at:]
+    assert resumed.exhausted
 
 
 def test_tampered_slot_changes_stream():
