@@ -20,8 +20,7 @@ import hashlib
 import sys
 
 from . import checks, inplace, owf, pebbler, protocol, schedule
-
-MAX_K = 30  # memory/time guard
+from .inplace import MAX_K
 
 
 def default_seed(fn: owf.Owf) -> bytes:

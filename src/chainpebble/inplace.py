@@ -6,10 +6,14 @@ c = 2^(k+1) - r: each set bit i is a live sub-pebbler of order i, its
 progress is c mod 2^(i+1), and its values sit in the slot block that ends at
 index i.  The slot written next by a working pebbler is always the one just
 vacated by the pebblers to its right, which is what makes a fixed array
-suffice.  Its frontier is a closed form in i and c mod 2^i, evaluated
-in O(1) inside the step (``schedule.optimal_remaining`` states it), not a
-table, and handed as ``rem`` (hashes still owed, plus one) to the fill loop
-that both engines share, ``pebbler._fill``; set-up is one call of it.
+suffice.  The optimal stepper keeps each sub-pebbler's frontier as one
+counter per bit, ``rem[i]`` (hashes the order-i pebbler still owes, plus
+one), in an array of k+1 machine words: a working pebbler's counter drops
+by exactly its budget each round, and an emitter resets its own to 2^j for
+the next pebbler of its order.  The counter is handed to the fill loop that
+both engines share, ``pebbler._fill``; set-up is one call of it.  Each
+counter is also a closed form in i and c mod 2^i (``schedule.optimal_remaining``
+states it), which is how ``restore`` rebuilds them in O(k), with no table.
 
 Two variants share one layout, one set-up and one exhaustion test (the
 base ``_InPlace``) and differ only in their step.  The speed-2 stepper
@@ -43,7 +47,8 @@ hashed or emitted is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The
-steppers hold nothing else either (``__slots__``, no ``__dict__``).
+steppers hold nothing else either (``__slots__``, no ``__dict__``), apart
+from the optimal stepper's ``rem``, derived from (k, r) and never saved.
 The order k is at most 30, checked at construction and in ``restore``,
 because ``save`` stores the round counter (up to 2^(k+1)) in four octets.
 ``restore`` checks the header, the counter's range, the slot area's size
@@ -52,10 +57,12 @@ DecodeError when a step would emit an empty slot (in ``step``), hash from
 one or descend into an occupied one (both in ``_fill``).
 """
 
+from array import array
 from dataclasses import dataclass
 
 from .owf import Owf, WidthError
 from .pebbler import DecodeError, ExhaustedError, _fill, _wrong_width
+from .schedule import optimal_remaining
 
 IDLE = "idle"
 HASHING = "hashing"
@@ -190,10 +197,15 @@ class InPlaceSpeed2(_InPlace):
 
 class InPlaceOptimal(_InPlace):
     """Optimal-schedule pebbler: budgets from the countdown's bit segments,
-    parity-rounded per sub-pebbler, spent through the shared fill loop."""
+    parity-rounded per sub-pebbler, spent through the shared fill loop from
+    each sub-pebbler's frontier counter."""
 
     variant = "optimal"
-    __slots__ = ()
+    __slots__ = ("rem",)
+
+    def __init__(self, owf: Owf, k: int, seed: bytes):
+        super().__init__(owf, k, seed)
+        self.rem = array("I", [1 << i for i in range(k + 1)])  # nothing owed yet
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
@@ -208,6 +220,8 @@ class InPlaceOptimal(_InPlace):
             raise DecodeError("emitting an empty slot")
         del z[0]  # the emitter's pinned values shift down to seed its children
         z.insert(j, None)
+        rem = self.rem
+        rem[j] = low  # the next order-j sub-pebbler starts owing 2^j - 1
         # segment_budgets(k, c), walked lowest bit first over the working
         # sub-pebblers only: set bits whose next-lower bit is clear, plus the
         # bit just above the emitter.  Their slot blocks are disjoint, so the
@@ -218,19 +232,16 @@ class InPlaceOptimal(_InPlace):
         while work:
             low = work & -work
             work ^= low
-            u = c & (low - 1)  # set-up rounds left, this one included
             i = low.bit_length() - 1
-            n = ((i + u) % 2 + i - below) // 2
+            # parity of i plus the set-up rounds left, c mod 2^i; a working
+            # bit is never bit 0 (that one always emits), so c's low bit is
+            # the parity of c mod 2^i
+            n = ((i + c) % 2 + i - below) // 2
             below = i
             if n:
-                # rem = optimal_remaining(i, u) + 1 in the closed form that
-                # schedule.optimal_remaining states, with u reused for
-                # 2^bitlen(u) - u so that no extra int stays live
-                b = u.bit_length()
-                u = (1 << b) - u
-                m = (u - 1).bit_length()
-                rem = (((i + 3 - b) << b) + u * (m - i) - (1 << m) + 1 - i % 2) >> 1
-                _fill(self.owf, z, rem, n)
+                r_i = rem[i]
+                _fill(self.owf, z, r_i, n)
+                rem[i] = r_i - n
                 hashes += n
         self.r += 1
         return out, hashes
@@ -309,4 +320,7 @@ def restore(data: bytes, owf: Owf):
         else:
             raise DecodeError("bad presence flag")
     state.z = slots
+    c = (2 << k) - r
+    state.rem = array("I", [optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
+                            for i in range(k + 1)])
     return state

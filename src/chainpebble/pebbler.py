@@ -58,25 +58,29 @@ def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
     slot started must be empty, else DecodeError (a restored state lied).
     With rem = 2^k and n = 2^k - 1 on [None]*k + [seed] it runs a whole
     set-up.  Raises WidthError on any ``owf.fn`` output not of the
-    function's width; other widths are checked where values enter.
+    function's width; other widths are checked where values enter.  It
+    allocates nothing per call beyond the values it hashes (no ``range``),
+    since most calls spend only one or two hashes, and its one counter, n,
+    also marks where each slot's run ends, so a long set-up pays no more
+    per hash than a ``range`` loop would.
     """
     fn, width = owf.fn, owf.width
     m = rem.bit_length() - 1
-    gap = rem - (1 << m)
+    stop = n - (rem - (1 << m))  # hashes still to spend once slot m is done
     v = z[m]
     if v is None:
         raise DecodeError("hashing from an empty slot")
-    for _ in range(n):
-        if gap == 0:
+    while n:
+        if n == stop:
             m -= 1
-            gap = 1 << m
+            stop -= 1 << m
             if z[m] is not None:
                 raise DecodeError("descended into an occupied slot")
         v = fn(v)
         if len(v) != width:
             raise _wrong_width(owf, v)
         z[m] = v
-        gap -= 1
+        n -= 1
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import socketserver
 import threading
 import time
 
-from .inplace import STEPPERS
+from .inplace import MAX_K, STEPPERS
 from .owf import Owf, evaluate
 from .pebbler import ExhaustedError, Pebbler
 
@@ -56,17 +56,18 @@ class Prover:
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str = "optimal"):
-        if k < 0:
-            raise ValueError("order k must be >= 0")
+        if not 0 <= k <= MAX_K:  # before any hash: set-up alone costs 2^k - 1
+            raise ValueError(f"order k must be 0..{MAX_K}")
         if engine == "auto":
             engine = "inplace-optimal" if k >= 1 else "framework"
         if engine == "framework":
             pebbler = Pebbler(owf, family, k, seed)
             pebbler.finish_setup()  # set-up rounds emit nothing: one fill
-            step = pebbler._round
+            step = Pebbler._round
         elif engine in ENGINES:
-            pebbler = STEPPERS[engine.removeprefix("inplace-")](owf, k, seed)
-            step = pebbler.step
+            cls = STEPPERS[engine.removeprefix("inplace-")]
+            pebbler = cls(owf, k, seed)
+            step = cls.step
         else:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         self.owf = owf
@@ -74,8 +75,8 @@ class Prover:
         self.released = 0
         self.last_hashes = 0
         self.pebbler = pebbler
-        self._step = step
-        first, _ = step()  # free first round: no hashes on any engine
+        self._step = step  # the class's function, so no bound method is kept
+        first, _ = step(pebbler)  # free first round: no hashes on any engine
         self.endpoint = evaluate(owf, first)
         self._pending: bytes | None = first
 
@@ -87,7 +88,7 @@ class Prover:
             value, self.last_hashes = self._pending, 0
             self._pending = None
         else:
-            value, self.last_hashes = self._step()
+            value, self.last_hashes = self._step(self.pebbler)
         self.released += 1
         return value
 
@@ -154,7 +155,7 @@ class _Session(socketserver.StreamRequestHandler):
                     self._send("ERR bad-register")
                     return
                 endpoint = _parse_value(parts[2], owf.width)
-                if not 0 <= k <= 30 or endpoint is None:
+                if not 0 <= k <= MAX_K or endpoint is None:
                     self._send("ERR bad-register")
                     return
                 verifier = Verifier(owf, endpoint)

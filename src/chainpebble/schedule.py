@@ -112,7 +112,8 @@ def optimal_remaining(i: int, u: int) -> int:
     two, else i - bitlen(2^bitlen(s) - s).  Summing bit lengths in closed
     form gives, with b = bitlen(u), w = 2^b - u and m = bitlen(w - 1), the
     doubled sum (i+3-b)*2^b + w*(m-i) - 2^m - 2, which parity rounding
-    halves up for even i and down for odd i.
+    halves up for even i and down for odd i.  ``inplace.restore`` calls it
+    to rebuild the optimal stepper's frontier counters from (k, r).
     """
     if u > 1 << i >> 1:
         return (1 << i) - 1  # still idle: the whole set-up is owed

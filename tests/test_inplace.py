@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainpebble.inplace import (
     FIRST_OUTPUT,
@@ -22,7 +22,7 @@ from chainpebble.inplace import (
 from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import Verifier
-from chainpebble.schedule import unrounded_optimal, work_sequence
+from chainpebble.schedule import optimal_remaining, unrounded_optimal, work_sequence
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -318,7 +318,7 @@ def test_restore_rejects_order_above_30(code, slots, flag):
 
 @pytest.mark.parametrize("cls,names", [
     (InPlaceSpeed2, {"owf", "k", "z", "r"}),
-    (InPlaceOptimal, {"owf", "k", "z", "r"}),
+    (InPlaceOptimal, {"owf", "k", "z", "r", "rem"}),
 ])
 def test_inplace_state_is_counter_plus_slots(cls, names):
     # no __dict__, so no table can hide beside the counter and the slots
@@ -332,6 +332,19 @@ def test_inplace_state_is_counter_plus_slots(cls, names):
             getattr(state, name)  # every slot is set
         with pytest.raises(AttributeError):
             state.table = []
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_optimal_counters_match_closed_form(k):
+    # each live sub-pebbler's counter is where the closed form puts its frontier
+    state = InPlaceOptimal(MIX, k, SEED)
+    while not state.exhausted:
+        c = (2 << k) - state.r
+        for s in (state, restore(save(state), MIX)):
+            for i in range(k + 1):
+                if c >> i & 1 and c & ((1 << i) - 1):  # set, and not the lowest
+                    assert s.rem[i] == optimal_remaining(i, c % 2**i) + 1, (k, state.r, i)
+        state.step()
 
 
 # -- serialization ------------------------------------------------------------
@@ -416,6 +429,38 @@ def test_restore_any_flipped_presence_flag_fails_loudly_or_changes_nothing():
                 continue
             assert remaining == stream[at:], (at, s)
     assert raised[0] and raised[1]
+
+
+@st.composite
+def _restore_blobs(draw):
+    """Headers with any in-range r, bodies of the right size with random
+    presence flags (2 is invalid) and values."""
+    code, k = draw(st.sampled_from([2, 3])), draw(st.integers(1, 5))
+    r = draw(st.integers(1 << k, 2 << k))
+    w = MIX.width
+    if code == 2:
+        body = draw(st.binary(min_size=k * w, max_size=k * w))
+    else:
+        body = b"".join(bytes([draw(st.integers(0, 2))]) + draw(st.binary(min_size=w, max_size=w))
+                        for _ in range(k + 1))
+    return bytes([code, k]) + r.to_bytes(4, "big") + body
+
+
+@settings(deadline=None)
+@given(_restore_blobs() | st.binary(max_size=80))
+def test_restore_any_bytes_fails_cleanly_or_steps_cleanly(blob):
+    # any bytes: DecodeError at once, or a state whose every emission is of
+    # the function's width until DecodeError or exhaustion
+    try:
+        state = restore(blob, MIX)
+    except DecodeError:
+        return
+    try:
+        while True:
+            out, _ = state.step()
+            assert len(out) == MIX.width
+    except (DecodeError, ExhaustedError):
+        pass
 
 
 # save() hex made by the k-slot speed-2 layout this format comes from, at

@@ -57,6 +57,21 @@ def test_engines_release_identically(engine):
     assert [first, *rest] == reverse_oracle(MIX, 5, SEED)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("k", [31, 300])
+def test_prover_rejects_order_above_30(engine, k):
+    # refused before any hash: a framework set-up of 2^k - 1 would never end
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return MIX.fn(v)
+
+    with pytest.raises(ValueError):
+        Prover(Owf(MIX.name, MIX.width, fn), k, SEED, engine)
+    assert calls[0] == 0
+
+
 def test_verifier_registration_state():
     endpoint = iterate(MIX, SEED, 8)
     verifier = Verifier(MIX, endpoint)

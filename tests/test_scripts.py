@@ -1,5 +1,6 @@
 """Scripts under scripts/ run from a plain checkout, as the README shows."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,3 +21,28 @@ def test_pebbler_panels_runs_without_pythonpath(tmp_path):
     for family in FAMILIES:
         assert f"{family} pebbler, order 3" in done.stdout
         assert f"| {family:>16}" in done.stdout
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_summarizes_runs_by_median_and_quartiles():
+    summarize = _bench_module().summarize
+    assert summarize([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                                   "iqr": 2.0}
+    assert summarize([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "iqr": 0.0}
+
+
+def test_bench_rejects_checkout_without_label(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(tmp_path / "b.json"),
+         str(ROOT)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "LABEL=PATH" in done.stderr
+    assert not (tmp_path / "b.json").exists()
