@@ -4,13 +4,14 @@ Usage, from the root of a checkout:
 
     python3 scripts/bench.py --out BENCH_13.json parent=/path/to/parent change=.
 
-Each LABEL=PATH names a checkout.  For every workload that the checkout's
-BENCHMARK.json gates and every seed, the script runs
+Each LABEL=PATH names a checkout.  For every workload that the first
+checkout's BENCHMARK.json gates and seeds 1..5, the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 40 --trace 0
 
-in each checkout in turn, alternating which checkout goes first from one
-seed to the next, so that host drift falls on both sides alike.  It then
+(40 being BENCHMARK.json's ``run_seconds``) in each checkout in turn,
+alternating which checkout goes first from one seed to the next, so that
+host drift falls on both sides alike.  It then
 runs one ``--trace 1`` pass per workload and checkout, for the per-layer
 metrics (``owf.fn_ns``, the md5 cost of that run, calibrates the timings).
 The output holds, per checkout and workload, every run's end-to-end
@@ -26,6 +27,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEEDS = range(1, 6)
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple:
@@ -58,8 +61,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seeds", type=int, default=5, help="seeds 1..N (default 5)")
-    parser.add_argument("--seconds", type=int, default=40)
     args = parser.parse_args(argv)
     checkouts = {}
     for item in args.checkouts:
@@ -71,14 +72,14 @@ def main(argv=None) -> int:
     bench = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
-    seeds = range(1, args.seeds + 1)
+    seconds = bench["run_seconds"]
     runs = {label: {w: [] for w in workloads} for label in checkouts}
     meta = {}
     order = list(checkouts)
     for w in workloads:
-        for seed in seeds:
+        for seed in SEEDS:
             for label in order if seed % 2 else order[::-1]:
-                meta[label], result = run_perfbench(checkouts[label], w, seed, args.seconds, 0)
+                meta[label], result = run_perfbench(checkouts[label], w, seed, seconds, 0)
                 values = {name: m["value"] for name, m in result["metrics"].items()}
                 runs[label][w].append({"seed": seed, "metrics": values})
                 print(f"{label} {w} seed {seed}: "
@@ -86,14 +87,14 @@ def main(argv=None) -> int:
                       file=sys.stderr)
 
     out = {"command": "python3 perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds} --trace 0|1",
-           "seeds": list(seeds), "checkouts": {}}
+                      f"--seconds {seconds} --trace 0|1",
+           "seeds": list(SEEDS), "checkouts": {}}
     for label, path in checkouts.items():
         entry = {key: meta[label][key] for key in ("git_commit", "source_sha256", "python",
                                                    "implementation", "cpu_model", "nproc")}
         entry["workloads"] = {}
         for w in workloads:
-            _, traced = run_perfbench(path, w, 1, args.seconds, 1)
+            _, traced = run_perfbench(path, w, 1, seconds, 1)
             entry["workloads"][w] = {
                 "end_to_end": {name: {**summarize([r["metrics"][name] for r in runs[label][w]]),
                                       "unit": unit}
