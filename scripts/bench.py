@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench.py --out BENCH_13.json parent=/path/to/parent change=.
+    python3 scripts/bench.py --out BENCH_14.json parent=/path/to/parent change=.
 
 Each LABEL=PATH names a checkout.  For every workload that the first
 checkout's BENCHMARK.json gates and seeds 1..5, the script runs
@@ -11,14 +11,15 @@ checkout's BENCHMARK.json gates and seeds 1..5, the script runs
 
 (40 being BENCHMARK.json's ``run_seconds``) in each checkout in turn,
 alternating which checkout goes first from one seed to the next, so that
-host drift falls on both sides alike.  It then
-runs one ``--trace 1`` pass per workload and checkout, for the per-layer
-metrics (``owf.fn_ns``, the md5 cost of that run, calibrates the timings).
-The output holds, per checkout and workload, every run's end-to-end
-metrics and their median, quartiles and interquartile range, the traced
-run's per-layer metrics, and the Python version, CPU and commit from the
-runs' metadata line.  Any run that exits nonzero or reports a failure
-stops the script.
+host drift falls on both sides alike.  It then runs ``--trace 1`` with
+seeds 1..3 the same way, for the per-layer metrics (``owf.fn_ns``, the md5
+cost of each run, calibrates the timings); a single traced run moves by
+up to 40% on identical code, so each per-layer metric is the median of the
+three.  The output holds, per checkout and workload, every run's
+end-to-end metrics and their median, quartiles and interquartile range,
+each per-layer metric's median with the three traced runs beside it, and
+the Python version, CPU and commit from the runs' metadata line.  Any run
+that exits nonzero or reports a failure stops the script.
 """
 
 import argparse
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 SEEDS = range(1, 6)
+TRACE_SEEDS = range(1, 4)
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple:
@@ -57,6 +59,11 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def layer_medians(runs: list[dict]) -> dict:
+    """Each per-layer metric's median over the traced runs' metrics."""
+    return {name: statistics.median(run[name] for run in runs) for name in runs[0]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
@@ -74,32 +81,38 @@ def main(argv=None) -> int:
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     runs = {label: {w: [] for w in workloads} for label in checkouts}
+    traced = {label: {w: [] for w in workloads} for label in checkouts}
     meta = {}
     order = list(checkouts)
+    # (trace flag, seeds, where the runs go, metrics shown as each run ends)
+    passes = ((0, SEEDS, runs, ("rounds_per_s", "peak_kib")),
+              (1, TRACE_SEEDS, traced, ("pebbler.self_us_p50", "owf.fn_ns")))
     for w in workloads:
-        for seed in SEEDS:
-            for label in order if seed % 2 else order[::-1]:
-                meta[label], result = run_perfbench(checkouts[label], w, seed, seconds, 0)
-                values = {name: m["value"] for name, m in result["metrics"].items()}
-                runs[label][w].append({"seed": seed, "metrics": values})
-                print(f"{label} {w} seed {seed}: "
-                      f"{values['rounds_per_s']:.0f} rounds/s, {values['peak_kib']:.3f} KiB",
-                      file=sys.stderr)
+        for trace, seeds, into, shown in passes:
+            for seed in seeds:
+                for label in order if seed % 2 else order[::-1]:
+                    meta[label], result = run_perfbench(checkouts[label], w, seed, seconds,
+                                                        trace)
+                    values = {name: m["value"] for name, m in result["metrics"].items()}
+                    into[label][w].append({"seed": seed, "metrics": values})
+                    print(f"{label} {w} seed {seed} trace {trace}: "
+                          + ", ".join(f"{name} {values[name]:.4g}" for name in shown),
+                          file=sys.stderr)
 
     out = {"command": "python3 perfbench/run.py --workload W --seed S "
                       f"--seconds {seconds} --trace 0|1",
-           "seeds": list(SEEDS), "checkouts": {}}
-    for label, path in checkouts.items():
+           "seeds": list(SEEDS), "trace_seeds": list(TRACE_SEEDS), "checkouts": {}}
+    for label in checkouts:
         entry = {key: meta[label][key] for key in ("git_commit", "source_sha256", "python",
                                                    "implementation", "cpu_model", "nproc")}
         entry["workloads"] = {}
         for w in workloads:
-            _, traced = run_perfbench(path, w, 1, seconds, 1)
             entry["workloads"][w] = {
                 "end_to_end": {name: {**summarize([r["metrics"][name] for r in runs[label][w]]),
                                       "unit": unit}
                                for name, unit in units.items()},
-                "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
+                "per_layer": layer_medians([r["metrics"] for r in traced[label][w]]),
+                "per_layer_runs": traced[label][w],
                 "runs": runs[label][w],
             }
         out["checkouts"][label] = entry

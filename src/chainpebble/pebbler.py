@@ -11,7 +11,10 @@ reverse, one element per round over the last 2^k rounds.
 
 The tree is kept flat: ``Pebbler.children`` is the frontier of runs (the
 sub-pebblers still holding values), highest order first.  The run at its
-hand-off is always the last: it is popped and its children appended.
+hand-off is always the last: it is popped and its children appended.  A
+hand-off allocates runs only for the children that will hash, orders k-1..1;
+the popped run itself becomes the order-0 child, a pinned value emitted
+next round, so a reversal of order k builds 2^(k-1) - 1 runs, not 2^k - 1.
 
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
@@ -196,8 +199,16 @@ class Pebbler:
                 _fill(owf, run.pin() if slots is None else slots, run.rem, spent)
                 run.rem -= spent
                 hashes += spent
-        for j in range(k, 0, -1):
-            frontier.append(_Run(j - 1, z[j]))
+        if k:
+            for j in range(k, 1, -1):
+                frontier.append(_Run(j - 1, z[j]))
+            # the emitter becomes its order-0 child, which emits z[1] unhashed
+            emitter.k = 0
+            emitter.round_no = 1
+            emitter.seed = z[1]
+            emitter.slots = None
+            emitter.rem = 1
+            frontier.append(emitter)
         return out, hashes
 
     def finish_setup(self) -> int:

@@ -46,9 +46,13 @@ MAX_SESSIONS = 64  # sessions the server runs at once, one thread each
 class Prover:
     """Releases successive chain preimages, one identification round each.
 
-    Any pebbler engine gives byte-identical releases; the in-place optimal
-    one is the default for k >= 1.  ``last_hashes`` reports the work of the
-    most recent release (at most ceil(k/2) for optimal, k-1 for speed-2).
+    Any pebbler engine gives byte-identical releases.  ``engine="auto"``
+    runs ``family`` in place (``inplace-<family>``) when an in-place stepper
+    exists for it and k >= 1, and on the framework ``Pebbler`` otherwise, so
+    an unknown family raises ``ValueError`` before any hash; an explicit
+    engine ignores ``family`` unless it is ``"framework"``.  ``last_hashes``
+    reports the work of the most recent release (at most ceil(k/2) for
+    optimal, k-1 for speed-2).
     """
 
     __slots__ = ("owf", "n", "released", "last_hashes", "pebbler", "_step", "endpoint",
@@ -59,7 +63,7 @@ class Prover:
         if not 0 <= k <= MAX_K:  # before any hash: set-up alone costs 2^k - 1
             raise ValueError(f"order k must be 0..{MAX_K}")
         if engine == "auto":
-            engine = "inplace-optimal" if k >= 1 else "framework"
+            engine = f"inplace-{family}" if family in STEPPERS and k >= 1 else "framework"
         if engine == "framework":
             pebbler = Pebbler(owf, family, k, seed)
             pebbler.finish_setup()  # set-up rounds emit nothing: one fill

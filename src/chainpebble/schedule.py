@@ -24,10 +24,12 @@ FAMILIES = ("rushing", "speed1", "speed2", "optimal")
 
 
 def _optimal(k: int, r: int) -> int:
-    n = 1 << k
-    if r < n >> 1:
+    s = (1 << k) - r  # set-up rounds left, this one included
+    if s > r:  # r < 2^k / 2: the idle first half
         return 0
-    return ((k + r) % 2 + k + 1 - ((2 * r) % (1 << (n - r).bit_length())).bit_length()) // 2
+    # parity_round of the explicit doubled budget, with 2r mod 2^b as 2r & (2^b - 1)
+    # and the halving as a shift: the numerator is at least 1
+    return (k + 1 + ((k + r) & 1) - ((r << 1) & ((1 << s.bit_length()) - 1)).bit_length()) >> 1
 
 
 # each family's raw O(1) rule: the budget of set-up round r for order k,

@@ -11,6 +11,7 @@ from chainpebble.owf import Owf, WidthError, builtin, iterate
 from chainpebble.pebbler import (
     ExhaustedError,
     Pebbler,
+    _Run,
     TraceRow,
     reverse_oracle,
     run_outputs,
@@ -290,6 +291,27 @@ def test_runs_get_slots_only_once_they_hash(family):
             if p.exhausted:
                 break
             p.step()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_handoff_builds_runs_only_for_children_that_hash(family, monkeypatch):
+    # each hand-off of order j >= 1 builds runs of orders j-1..1 and turns the
+    # emitter into its order-0 child, so a reversal builds 2^(k-1) - 1 runs
+    built = [0]
+    init = _Run.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Run, "__init__", counted)
+    for k in range(1, 11):
+        p = Pebbler(MIX, family, k, SEED)
+        p.finish_setup()
+        built[0] = 0
+        while not p.exhausted:
+            p.step()
+        assert built[0] == (1 << (k - 1)) - 1, k
 
 
 def _framework_lifetime_peak(k):

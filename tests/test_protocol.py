@@ -72,6 +72,28 @@ def test_prover_rejects_order_above_30(engine, k):
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_auto_engine_runs_the_requested_family(family):
+    auto = Prover(MIX, 5, SEED, family=family)
+    framework = Prover(MIX, 5, SEED, "framework", family)
+    for _ in range(32):
+        assert auto.next_value() == framework.next_value()
+        assert auto.last_hashes == framework.last_hashes
+
+
+def test_auto_engine_rejects_unknown_family_before_hashing():
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return MIX.fn(v)
+
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="family"):
+            Prover(Owf(MIX.name, MIX.width, fn), k, SEED, family="bogus")
+    assert calls[0] == 0
+
+
 def test_verifier_registration_state():
     endpoint = iterate(MIX, SEED, 8)
     verifier = Verifier(MIX, endpoint)

@@ -37,6 +37,15 @@ def test_bench_summarizes_runs_by_median_and_quartiles():
     assert summarize([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "iqr": 0.0}
 
 
+def test_bench_takes_each_layer_metric_median_over_traced_runs():
+    layer_medians = _bench_module().layer_medians
+    runs = [{"owf.fn_ns": 339.0, "pebbler.hashes_max": 7},
+            {"owf.fn_ns": 423.0, "pebbler.hashes_max": 7},
+            {"owf.fn_ns": 286.0, "pebbler.hashes_max": 7}]
+    assert layer_medians(runs) == {"owf.fn_ns": 339.0, "pebbler.hashes_max": 7}
+    assert layer_medians(runs[:2]) == {"owf.fn_ns": 381.0, "pebbler.hashes_max": 7}
+
+
 def test_bench_rejects_checkout_without_label(tmp_path):
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(tmp_path / "b.json"),
