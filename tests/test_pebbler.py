@@ -11,8 +11,8 @@ from chainpebble.owf import Owf, WidthError, builtin, iterate
 from chainpebble.pebbler import (
     ExhaustedError,
     Pebbler,
-    _Run,
     TraceRow,
+    _Run,
     reverse_oracle,
     run_outputs,
     run_trace,
