@@ -13,19 +13,25 @@ Wire format, one UTF-8 line per message, LF-terminated:
     client -> server:   REGISTER <k> <hex-endpoint>   then   AUTH <hex-value>
     server -> client:   OK <verified-count> | FAIL | ERR <reason>
 
-Hex is lowercase, exactly two characters per octet.  A line may be at most
-``MAX_LINE`` bytes, LF included; a longer one gets ``ERR line-too-long``
-as soon as the server has read one byte past the limit, so a client that
-never sends LF cannot grow the server's buffer.  Unknown commands get
-``ERR unknown-command``; any ERR closes the session.  A whole line must
-arrive within ``IDLE_TIMEOUT`` seconds of the server starting to wait for
-it, else the server answers ``ERR idle-timeout`` and closes, so neither a
-silent client nor one that dribbles bytes can hold a server thread.  At most
-``MAX_SESSIONS`` sessions run at once; a connection past the cap gets
-``ERR busy`` and is closed before any session starts.  The registration
-line is trusted as-is -- securing it is a deployment concern and must
-happen out of band.  Sessions are independent; the server may run them
-concurrently but never shares mutable session state.
+Hex is lowercase, two characters per octet, and a value is as wide as the
+one-way function.  FAIL keeps the session open; any ERR closes it.  The ERR
+reasons:
+
+    busy             MAX_SESSIONS sessions run already; no session starts
+    idle-timeout     no whole line IDLE_TIMEOUT s after the server began to
+                     wait for it, however its bytes came: none holds a thread
+    line-too-long    over MAX_LINE bytes with the LF, sent on reading one byte
+                     more: a client that never sends LF cannot grow the buffer
+    bad-encoding     the line is not UTF-8
+    empty-line       the line holds only whitespace
+    bad-register     REGISTER without exactly a k in 0..MAX_K and a value
+    not-registered   AUTH before REGISTER, whatever follows it
+    bad-auth         AUTH without exactly one value
+    unknown-command  any other first word
+
+The registration line is trusted as-is -- securing it is a deployment
+concern and must happen out of band.  Sessions are independent; the server
+may run them concurrently but never shares mutable session state.
 """
 
 import socket
@@ -48,32 +54,35 @@ class Prover:
 
     Any pebbler engine gives byte-identical releases.  ``engine="auto"``
     runs ``family`` in place (``inplace-<family>``) when an in-place stepper
-    exists for it and k >= 1, and on the framework ``Pebbler`` otherwise, so
-    an unknown family raises ``ValueError`` before any hash; an explicit
-    engine ignores ``family`` unless it is ``"framework"``.  ``last_hashes``
-    reports the work of the most recent release (at most ceil(k/2) for
-    optimal, k-1 for speed-2).
+    exists for it and k >= 1, and on the framework ``Pebbler`` otherwise.
+    ``family=None`` means the engine's own family: ``optimal`` for ``auto``
+    and ``framework``, ``<v>`` for ``inplace-<v>``, which refuses any other.
+    A bad engine or family raises ``ValueError`` before any hash.
+    ``last_hashes`` reports the work of the most recent release (at most
+    ceil(k/2) for optimal, k-1 for speed-2).
     """
 
     __slots__ = ("owf", "n", "released", "last_hashes", "pebbler", "_step", "endpoint",
                  "_pending")
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
-                 family: str = "optimal"):
+                 family: str | None = None):
         if not 0 <= k <= MAX_K:  # before any hash: set-up alone costs 2^k - 1
             raise ValueError(f"order k must be 0..{MAX_K}")
+        if family is None:
+            family = engine.removeprefix("inplace-") if engine.startswith("inplace-") else "optimal"
         if engine == "auto":
             engine = f"inplace-{family}" if family in STEPPERS and k >= 1 else "framework"
         if engine == "framework":
             pebbler = Pebbler(owf, family, k, seed)
             pebbler.finish_setup()  # set-up rounds emit nothing: one fill
             step = Pebbler._round
-        elif engine in ENGINES:
-            cls = STEPPERS[engine.removeprefix("inplace-")]
+        elif family in STEPPERS and engine == f"inplace-{family}":
+            cls = STEPPERS[family]
             pebbler = cls(owf, k, seed)
             step = cls.step
         else:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+            raise ValueError(f"engine {engine!r} cannot run family {family!r}; engines: {ENGINES}")
         self.owf = owf
         self.n = 1 << k
         self.released = 0
@@ -125,80 +134,74 @@ def _parse_value(text: str, width: int) -> bytes | None:
         return None
 
 
+class Refusal(Exception):
+    """The server refuses a session's next line; the one argument is the ERR reason."""
+
+
+def _valid_order(text: str) -> bool:
+    try:
+        return 0 <= int(text) <= MAX_K
+    except ValueError:
+        return False
+
+
+def _answer(owf: Owf, verifier: Verifier | None, raw: bytes) -> tuple[str, Verifier | None]:
+    """Decide the reply to one wire line and the session's verifier after it,
+    or raise ``Refusal`` for a line the server refuses.  No socket is involved."""
+    if len(raw) > MAX_LINE:
+        raise Refusal("line-too-long")
+    try:
+        parts = raw.decode("utf-8").split()
+    except UnicodeDecodeError:
+        raise Refusal("bad-encoding") from None
+    if not parts:
+        raise Refusal("empty-line")
+    command, *args = parts
+    if command == "REGISTER":
+        endpoint = _parse_value(args[1], owf.width) if len(args) == 2 else None
+        if endpoint is None or not _valid_order(args[0]):
+            raise Refusal("bad-register")
+        return "OK 0", Verifier(owf, endpoint)
+    if command == "AUTH":
+        if verifier is None:  # before the arguments: an early AUTH is named as such
+            raise Refusal("not-registered")
+        candidate = _parse_value(args[0], owf.width) if len(args) == 1 else None
+        if candidate is None:
+            raise Refusal("bad-auth")
+        return (f"OK {verifier.verified}" if verifier.check(candidate) else "FAIL"), verifier
+    raise Refusal("unknown-command")
+
+
 class _Session(socketserver.StreamRequestHandler):
     def handle(self):
-        owf = self.server.owf
+        """Answer line after line until EOF or the first refusal, which closes."""
         verifier = None
-        while True:
-            try:
-                raw = self._readline()
-            except TimeoutError:
-                self._send("ERR idle-timeout")
-                return
-            if not raw:
-                return
-            if len(raw) > MAX_LINE:
-                self._send("ERR line-too-long")
-                return
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                self._send("ERR bad-encoding")
-                return
-            parts = line.split()
-            if not parts:
-                self._send("ERR empty-line")
-                return
-            if parts[0] == "REGISTER":
-                if len(parts) != 3:
-                    self._send("ERR bad-register")
-                    return
-                try:
-                    k = int(parts[1])
-                except ValueError:
-                    self._send("ERR bad-register")
-                    return
-                endpoint = _parse_value(parts[2], owf.width)
-                if not 0 <= k <= MAX_K or endpoint is None:
-                    self._send("ERR bad-register")
-                    return
-                verifier = Verifier(owf, endpoint)
-                self._send("OK 0")
-            elif parts[0] == "AUTH":
-                if verifier is None:
-                    self._send("ERR not-registered")
-                    return
-                if len(parts) != 2:
-                    self._send("ERR bad-auth")
-                    return
-                candidate = _parse_value(parts[1], owf.width)
-                if candidate is None:
-                    self._send("ERR bad-auth")
-                    return
-                if verifier.check(candidate):
-                    self._send(f"OK {verifier.verified}")
-                else:
-                    self._send("FAIL")
-            else:
-                self._send("ERR unknown-command")
-                return
+        try:
+            while raw := self._readline():
+                reply, verifier = _answer(self.server.owf, verifier, raw)
+                self._send(reply)
+        except Refusal as exc:
+            self._send(f"ERR {exc}")
 
     def _readline(self) -> bytes:
         """Read a line of at most MAX_LINE + 1 bytes, or what came before EOF;
-        raise TimeoutError unless it is all in within IDLE_TIMEOUT."""
+        refuse it as idle-timeout unless it is all in within IDLE_TIMEOUT."""
         deadline = time.monotonic() + IDLE_TIMEOUT
         raw = b""
-        while len(raw) <= MAX_LINE and not raw.endswith(b"\n"):
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError
-            self.connection.settimeout(left)
-            data = self.rfile.peek()  # buffered bytes, or at most one recv
-            if not data:
-                break
-            room = MAX_LINE + 1 - len(raw)
-            end = data.find(b"\n", 0, room) + 1  # 0 when no LF is in reach
-            raw += self.rfile.read(end or min(room, len(data)))
+        try:
+            while len(raw) <= MAX_LINE and not raw.endswith(b"\n"):
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError
+                self.connection.settimeout(left)
+                data = self.rfile.peek()  # buffered bytes, or at most one recv
+                if not data:
+                    break
+                room = MAX_LINE + 1 - len(raw)
+                end = data.find(b"\n", 0, room) + 1  # 0 when no LF is in reach
+                raw += self.rfile.read(end or min(room, len(data)))
+        except TimeoutError:
+            raise Refusal("idle-timeout") from None
         self.connection.settimeout(IDLE_TIMEOUT)  # a reply gets the whole wait
         return raw
 

@@ -1,13 +1,18 @@
 """Identification protocol: prover, verifier, and the line-based wire format."""
 
 import hashlib
+import re
 import socket
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainpebble import protocol
+from chainpebble.inplace import STEPPERS
 from chainpebble.owf import Owf, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, reverse_oracle
 from chainpebble.protocol import (
@@ -21,6 +26,7 @@ from chainpebble.protocol import (
 from chainpebble.schedule import FAMILIES
 
 MIX = builtin("testmix64")
+MD5 = builtin("md5")
 SEED = bytes.fromhex("0123456789abcdef")
 
 
@@ -92,6 +98,53 @@ def test_auto_engine_rejects_unknown_family_before_hashing():
         with pytest.raises(ValueError, match="family"):
             Prover(Owf(MIX.name, MIX.width, fn), k, SEED, family="bogus")
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("engine, family", [
+    ("inplace-optimal", "bogus"),
+    ("inplace-optimal", "speed2"),
+    ("inplace-speed2", "optimal"),
+    ("inplace-speed2", "rushing"),
+])
+def test_inplace_engine_refuses_another_family_before_hashing(engine, family):
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return MIX.fn(v)
+
+    with pytest.raises(ValueError, match="family"):
+        Prover(Owf(MIX.name, MIX.width, fn), 5, SEED, engine, family)
+    assert calls[0] == 0
+
+
+def test_family_none_is_the_engines_own():
+    for variant, cls in STEPPERS.items():
+        assert type(Prover(MIX, 5, SEED, f"inplace-{variant}").pebbler) is cls
+        assert type(Prover(MIX, 5, SEED, f"inplace-{variant}", variant).pebbler) is cls
+    assert Prover(MIX, 5, SEED, "framework").pebbler.family == "optimal"
+    assert type(Prover(MIX, 5, SEED).pebbler) is STEPPERS["optimal"]
+
+
+def _reversal_peak(engine, k):
+    tracemalloc.start()
+    try:
+        prover = Prover(MD5, k, bytes(16), engine)
+        for _ in range(1 << k):
+            prover.next_value()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("engine", ["auto", "framework"])
+def test_prover_peak_memory_grows_by_bytes_per_order(engine):
+    # set-up and a whole reversal hold O(k) values: a few hundred bytes per
+    # order; a table of even one bit per chain position adds more than 512 B
+    # per order between k = 11 and 14
+    peaks = [_reversal_peak(engine, k) for k in (8, 11, 14)]
+    for small, large in zip(peaks, peaks[1:]):
+        assert large - small <= 3 * 512, peaks
 
 
 def test_verifier_registration_state():
@@ -183,6 +236,78 @@ def test_per_release_hash_counts():
 
 
 # -- wire protocol ------------------------------------------------------------
+
+# every ERR reason the server gives for a line it has read; the module
+# docstring and the README list these and idle-timeout and busy, each once
+REFUSALS = {"line-too-long", "bad-encoding", "empty-line", "bad-register",
+            "not-registered", "bad-auth", "unknown-command"}
+ENDPOINT = iterate(MIX, SEED, 4)
+NEXT = iterate(MIX, SEED, 3)
+ORDERS = ["2", "+2", "-0", "31", "\u0662", "x"]
+VALUES = [ENDPOINT.hex(), NEXT.hex(), NEXT.hex().upper(), "00" * 8, "0" * 15, "\xe9" * 16]
+WORDS = st.one_of(
+    st.tuples(st.just("REGISTER"), st.sampled_from(ORDERS), st.sampled_from(VALUES)),
+    st.tuples(st.just("AUTH"), st.sampled_from(VALUES)),
+    st.lists(st.sampled_from(["REGISTER", "AUTH", "PING", *ORDERS, *VALUES]), max_size=4),
+)
+# word lines, some padded to the length limit and past it, and raw bytes
+WIRE_LINES = st.one_of(
+    st.builds(lambda words, sep, end, pad: (sep.join(words).encode() + end).rjust(pad),
+              WORDS,
+              st.sampled_from([" ", "  ", "\t", "\u00a0", "\x1c"]),
+              st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"", b"\xff\n"]),
+              st.sampled_from([0, 0, 0, MAX_LINE, MAX_LINE + 1])),
+    st.binary(max_size=MAX_LINE + 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=WIRE_LINES, registered=st.booleans())
+def test_answer_replies_or_refuses_every_line(raw, registered):
+    verifier = Verifier(MIX, ENDPOINT) if registered else None
+    before = verifier and (verifier.anchor, verifier.verified)
+    try:
+        reply, after = protocol._answer(MIX, verifier, raw)
+    except protocol.Refusal as exc:
+        assert exc.args[0] in REFUSALS, exc.args
+        assert (verifier and (verifier.anchor, verifier.verified)) == before
+        return
+    assert re.fullmatch(r"OK \d+|FAIL", reply), reply
+    assert isinstance(after, Verifier)
+    if reply == "FAIL":  # a rejection keeps the session's verifier as it was
+        assert after is verifier and (after.anchor, after.verified) == before
+    elif after is verifier:  # an accepted AUTH counts one more
+        assert reply == f"OK {after.verified}" and after.verified == before[1] + 1
+    else:  # a REGISTER starts a fresh verifier
+        assert reply == "OK 0" and after.verified == 0
+
+
+def test_answer_decides_each_documented_refusal():
+    registered = Verifier(MIX, ENDPOINT)
+    cases = {
+        b"A" * MAX_LINE + b"\n": "line-too-long",
+        b"\xff\n": "bad-encoding",
+        b" \t\n": "empty-line",
+        b"REGISTER 2\n": "bad-register",
+        f"REGISTER 31 {ENDPOINT.hex()}\n".encode(): "bad-register",
+        b"AUTH\n": "not-registered",
+        b"PING\n": "unknown-command",
+    }
+    for raw, reason in cases.items():
+        with pytest.raises(protocol.Refusal) as refused:
+            protocol._answer(MIX, None, raw)
+        assert refused.value.args == (reason,), raw
+    with pytest.raises(protocol.Refusal, match="bad-auth"):
+        protocol._answer(MIX, registered, f"AUTH {NEXT.hex().upper()}\n".encode())
+    assert protocol._answer(MIX, registered, f"AUTH {NEXT.hex()}\n".encode()) == ("OK 1", registered)
+
+
+def test_every_err_reason_is_documented_once():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for reason in REFUSALS | {"idle-timeout", "busy"}:
+        assert len(re.findall(rf"^ +{reason}\s", protocol.__doc__, re.M)) == 1, reason
+        assert len(re.findall(rf"^\| `{reason}` \|", readme, re.M)) == 1, reason
+
 
 @pytest.fixture()
 def server():
