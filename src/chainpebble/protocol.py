@@ -19,7 +19,7 @@ reasons:
 
     busy             MAX_SESSIONS sessions run already; no session starts
     idle-timeout     no whole line IDLE_TIMEOUT s after the server began to
-                     wait for it, however its bytes came: none holds a thread
+                     wait for it, however its bytes came, so no client holds a thread
     line-too-long    over MAX_LINE bytes with the LF, sent on reading one byte
                      more: a client that never sends LF cannot grow the buffer
     bad-encoding     the line is not UTF-8
