@@ -10,7 +10,7 @@ import random
 from functools import partial
 from typing import Callable, Iterable
 
-from . import inplace, pebbler, schedule
+from . import inplace, pebbler, protocol, schedule
 from .owf import Owf
 
 # make_schedule("optimal", k) for small k, as published
@@ -107,9 +107,8 @@ def inplace_equivalence(owf: Owf, seed: bytes, variant: str, ks: Iterable[int]) 
     state saved at any of 20 sampled rounds and restored."""
     for k in ks:
         n = 1 << k
-        p = pebbler.Pebbler(owf, variant, k, seed)
-        p.finish_setup()
-        want = [p._round() for _ in range(n)]  # (output, hashes), as a stepper's step()
+        p = protocol.Prover(owf, k, seed, "framework", variant)
+        want = [(p.next_value(), p.last_hashes) for _ in range(n)]  # as a stepper's step()
         state = inplace.STEPPERS[variant](owf, k, seed)
         blobs, got = [], []
         for _ in range(n):
@@ -164,7 +163,7 @@ def suite(owf: Owf, seed: bytes, k_max: int) -> list[tuple[str, Callable[[], Non
         ("work-bounds", partial(work_bounds, range(1, k_max + 1))),
         ("oracle-reversal", partial(oracle_reversal, owf, seed, range(min(k_max, 12) + 1))),
         ("storage-bounds", partial(storage_bounds, owf, seed, to10)),
-        ("inplace-speed2-equivalence", partial(inplace_equivalence, owf, seed, "speed2", to10)),
-        ("inplace-optimal-equivalence", partial(inplace_equivalence, owf, seed, "optimal", to10)),
+        *((f"inplace-{v}-equivalence", partial(inplace_equivalence, owf, seed, v, to10))
+          for v in inplace.STEPPERS),
         ("counter-decoding", partial(counter_decoding, owf, seed, range(1, min(k_max, 8) + 1))),
     ]

@@ -4,11 +4,14 @@ Subcommands:
 
 - ``schedule``  print the set-up budgets of one family as comma-separated integers
 - ``trace``     print a full per-round run (round, hashes, storage, output) as CSV or JSONL
-- ``reverse``   stream the 2^k chain elements as hex lines, newest first
+- ``reverse``   stream the 2^k chain elements as hex lines, newest first, through
+                ``protocol.Prover``: in place when the family has a stepper and k >= 1,
+                on the framework pebbler otherwise
 - ``verify``    run the ``checks`` suite, printing ``ok`` or ``FAIL`` per property
                 and, for a failure, its counterexample (family, k and round)
 - ``serve``     accept identification sessions on a TCP port
-- ``client``    register against a server and run identification rounds
+- ``client``    register against a server and run identification rounds; a round
+                past the chain's last prints the engine's own "exhausted" error, exit 1
 
 The default seed is the md5 digest of the empty string for the md5 function,
 and the function applied to the all-zero block otherwise, so default streams
@@ -19,7 +22,7 @@ import argparse
 import hashlib
 import sys
 
-from . import checks, inplace, owf, pebbler, protocol, schedule
+from . import checks, owf, pebbler, protocol, schedule
 from .inplace import MAX_K
 
 
@@ -59,21 +62,9 @@ def cmd_trace(args) -> int:
 
 def cmd_reverse(args) -> int:
     fn, seed = _resolve(args)
-    if args.inplace:
-        if args.k < 1:
-            raise SystemExit("error: --inplace needs k >= 1")
-        stepper = inplace.STEPPERS.get(args.family)
-        if stepper is None:
-            raise SystemExit("error: --inplace supports the speed2 and optimal families")
-        state = stepper(fn, args.k, seed)
-        for _ in range(1 << args.k):
-            value, _ = state.step()
-            print(value.hex())
-        return 0
-    p = pebbler.Pebbler(fn, args.family, args.k, seed)
-    p.finish_setup()  # set-up rounds emit nothing: one fill
+    prover = protocol.Prover(fn, args.k, seed, family=args.family)
     for _ in range(1 << args.k):
-        print(p.step().output.hex())
+        print(prover.next_value().hex())
     return 0
 
 
@@ -146,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(p)
     add_k(p)
     add_owf_seed(p)
-    p.add_argument("--inplace", action="store_true",
-                   help="use the in-place stepper (speed2 or optimal family)")
     p.set_defaults(run=cmd_reverse)
 
     p = sub.add_parser("verify", help="run the self-check suite")

@@ -156,7 +156,7 @@ class _InPlace:
 class InPlaceSpeed2(_InPlace):
     """Speed-2 pebbler: its step loop spends each pebbler's two hashes itself."""
 
-    variant = "speed2"
+    code = 2  # save()'s variant octet
     __slots__ = ()
 
     def step(self) -> tuple[bytes, int]:
@@ -200,7 +200,7 @@ class InPlaceOptimal(_InPlace):
     parity-rounded per sub-pebbler, spent through the shared fill loop from
     each sub-pebbler's frontier counter."""
 
-    variant = "optimal"
+    code = 3
     __slots__ = ("rem",)
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
@@ -248,8 +248,7 @@ class InPlaceOptimal(_InPlace):
 
 
 STEPPERS = {"speed2": InPlaceSpeed2, "optimal": InPlaceOptimal}
-_VARIANT_CODES = {"speed2": 2, "optimal": 3}
-_CODE_VARIANTS = {v: n for n, v in _VARIANT_CODES.items()}
+_BY_CODE = {cls.code: cls for cls in STEPPERS.values()}
 
 
 def save(state) -> bytes:
@@ -263,10 +262,10 @@ def save(state) -> bytes:
     it from slot 1), slot k after it, and an empty slot repeats the nearest
     value below it, which is what that layout left there (zeros if none).
     """
-    head = bytes([_VARIANT_CODES[state.variant], state.k]) + state.r.to_bytes(4, "big")
+    head = bytes([state.code, state.k]) + state.r.to_bytes(4, "big")
     width = state.owf.width
     parts = []
-    if state.variant == "speed2":
+    if isinstance(state, InPlaceSpeed2):
         z = state.z[1:] if state.r == 1 << state.k else state.z[:state.k]
         last = bytes(width)
         for v in z:
@@ -284,8 +283,8 @@ def restore(data: bytes, owf: Owf):
         raise DecodeError("truncated header")
     code, k = data[0], data[1]
     r = int.from_bytes(data[2:6], "big")
-    variant = _CODE_VARIANTS.get(code)
-    if variant is None:
+    cls = _BY_CODE.get(code)
+    if cls is None:
         raise DecodeError(f"unknown variant code {code}")
     if not 1 <= k <= MAX_K:
         raise DecodeError(f"order must be 1..{MAX_K}")
@@ -293,10 +292,9 @@ def restore(data: bytes, owf: Owf):
         raise DecodeError("round counter out of range")
     width = owf.width
     body = data[6:]
-    cls = STEPPERS[variant]
     state = cls.__new__(cls)
     state.owf, state.k, state.r = owf, k, r
-    if variant == "speed2":
+    if cls is InPlaceSpeed2:
         if len(body) != k * width:
             raise DecodeError("slot area has the wrong size")
         state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]

@@ -172,7 +172,7 @@ class Pebbler:
                 run.rem -= hashes
             return None, hashes
         if r > self.lifetime:
-            raise ExhaustedError(f"pebbler of order {self.k} ended after round {self.lifetime}")
+            raise ExhaustedError(f"order-{self.k} pebbler is exhausted after round {self.lifetime}")
         self.round_no = r + 1
         frontier, rule, owf = self.children, self._rule, self.owf
         # the run at its hand-off is the lowest order, which sits last

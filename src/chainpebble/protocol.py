@@ -24,7 +24,7 @@ reasons:
                      more: a client that never sends LF cannot grow the buffer
     bad-encoding     the line is not UTF-8
     empty-line       the line holds only whitespace
-    bad-register     REGISTER without exactly a k in 0..MAX_K and a value
+    bad-register     REGISTER without exactly an ASCII-digit k in 0..MAX_K and a value
     not-registered   AUTH before REGISTER, whatever follows it
     bad-auth         AUTH without exactly one value
     unknown-command  any other first word
@@ -59,11 +59,12 @@ class Prover:
     and ``framework``, ``<v>`` for ``inplace-<v>``, which refuses any other.
     A bad engine or family raises ``ValueError`` before any hash.
     ``last_hashes`` reports the work of the most recent release (at most
-    ceil(k/2) for optimal, k-1 for speed-2).
+    ceil(k/2) for optimal, k-1 for speed-2).  Exhaustion is the engine's:
+    after the 2^k-th release, its step raises ``ExhaustedError`` and
+    changes nothing, so ``released`` stays 2^k.
     """
 
-    __slots__ = ("owf", "n", "released", "last_hashes", "pebbler", "_step", "endpoint",
-                 "_pending")
+    __slots__ = ("released", "last_hashes", "pebbler", "_step", "endpoint", "_pending")
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str | None = None):
@@ -83,8 +84,6 @@ class Prover:
             step = cls.step
         else:
             raise ValueError(f"engine {engine!r} cannot run family {family!r}; engines: {ENGINES}")
-        self.owf = owf
-        self.n = 1 << k
         self.released = 0
         self.last_hashes = 0
         self.pebbler = pebbler
@@ -95,8 +94,6 @@ class Prover:
 
     def next_value(self) -> bytes:
         """Release the next preimage, running the pebbler's round internally."""
-        if self.released >= self.n:
-            raise ExhaustedError(f"chain exhausted after {self.n} releases")
         if self._pending is not None:
             value, self.last_hashes = self._pending, 0
             self._pending = None
@@ -139,10 +136,7 @@ class Refusal(Exception):
 
 
 def _valid_order(text: str) -> bool:
-    try:
-        return 0 <= int(text) <= MAX_K
-    except ValueError:
-        return False
+    return text.isascii() and text.isdigit() and int(text) <= MAX_K
 
 
 def _answer(owf: Owf, verifier: Verifier | None, raw: bytes) -> tuple[str, Verifier | None]:

@@ -55,48 +55,48 @@ def test_reverse_matches_oracle(capsys):
     assert out.split() == [v.hex() for v in reverse_oracle(MIX, 2, seed)]
 
 
-def test_reverse_identical_across_families_and_steppers(capsys):
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_reverse_identical_across_families_and_steppers(capsys, k):
+    # speed2 and optimal run in place from k = 1, every other case on the framework
     streams = set()
     for family in schedule.FAMILIES:
-        status, out = run_cli(capsys, "reverse", "--family", family, "--k", "4")
-        assert status == 0
-        streams.add(out)
-    for family in ("speed2", "optimal"):
-        status, out = run_cli(capsys, "reverse", "--family", family, "--k", "4",
-                              "--inplace")
+        status, out = run_cli(capsys, "reverse", "--family", family, "--k", str(k))
         assert status == 0
         streams.add(out)
     assert len(streams) == 1
     md5 = builtin("md5")
     seed = cli.default_seed(md5)
     lines = streams.pop().split()
-    assert lines == [v.hex() for v in reverse_oracle(md5, 4, seed)]
+    assert lines == [v.hex() for v in reverse_oracle(md5, k, seed)]
 
 
-def test_reverse_steps_only_the_reversal_rounds(capsys, monkeypatch):
-    # set-up runs as one fill; step() runs just the 2^k rounds that emit
+def _count_calls(monkeypatch, cls, name):
     calls = [0]
-    step = pebbler.Pebbler.step
+    method = getattr(cls, name)
 
     def counted(self):
         calls[0] += 1
-        return step(self)
+        return method(self)
 
-    monkeypatch.setattr(pebbler.Pebbler, "step", counted)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_reverse_steps_only_the_reversal_rounds(capsys, monkeypatch):
+    # set-up runs as one fill; the engine steps just the 2^k rounds that emit
+    want = [v.hex() for v in reverse_oracle(MIX, 9, cli.default_seed(MIX))]
+    stepped = _count_calls(monkeypatch, inplace.STEPPERS["optimal"], "step")
     status, out = run_cli(capsys, "reverse", "--k", "9", "--owf", "testmix64")
     assert status == 0
-    assert calls[0] == 1 << 9
-    assert out.split() == [v.hex() for v in reverse_oracle(MIX, 9, cli.default_seed(MIX))]
-
-
-def test_reverse_inplace_rejects_order_zero(capsys):
-    status = cli.main(["reverse", "--family", "optimal", "--k", "0", "--inplace"])
-    assert status == 2
-
-
-def test_reverse_inplace_needs_suitable_family(capsys):
-    status = cli.main(["reverse", "--family", "rushing", "--k", "3", "--inplace"])
-    assert status == 2
+    assert stepped[0] == 1 << 9
+    assert out.split() == want
+    rounds = _count_calls(monkeypatch, pebbler.Pebbler, "_round")
+    steps = _count_calls(monkeypatch, pebbler.Pebbler, "step")
+    status, out = run_cli(capsys, "reverse", "--k", "9", "--owf", "testmix64",
+                          "--family", "rushing")
+    assert status == 0
+    assert rounds[0] == 1 << 9 and steps[0] == 0
+    assert out.split() == want
 
 
 def test_bad_seed_is_usage_error(capsys):

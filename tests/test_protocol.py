@@ -53,6 +53,19 @@ def test_order_zero_prover():
         prover.next_value()
 
 
+@pytest.mark.parametrize("engine", [*ENGINES, "auto"])
+def test_every_engine_refuses_to_release_past_the_chain(engine):
+    # exhaustion is the engine's: its step raises and changes nothing
+    for k in range(1 if engine.startswith("inplace-") else 0, 7):
+        prover = Prover(MIX, k, SEED, engine)
+        for _ in range(1 << k):
+            prover.next_value()
+        for _ in range(2):
+            with pytest.raises(ExhaustedError, match="exhausted"):
+                prover.next_value()
+            assert prover.released == 1 << k
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_engines_release_identically(engine):
     prover = Prover(MIX, 5, SEED, engine)
@@ -300,6 +313,14 @@ def test_answer_decides_each_documented_refusal():
     with pytest.raises(protocol.Refusal, match="bad-auth"):
         protocol._answer(MIX, registered, f"AUTH {NEXT.hex().upper()}\n".encode())
     assert protocol._answer(MIX, registered, f"AUTH {NEXT.hex()}\n".encode()) == ("OK 1", registered)
+
+
+def test_register_order_is_ascii_digits_only():
+    # int() would take a sign, an underscore or a non-ASCII digit
+    for order in ("+2", "-0", "0_2", "\u0662"):
+        with pytest.raises(protocol.Refusal) as refused:
+            protocol._answer(MIX, None, f"REGISTER {order} {ENDPOINT.hex()}\n".encode())
+        assert refused.value.args == ("bad-register",), order
 
 
 def test_every_err_reason_is_documented_once():
