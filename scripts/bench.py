@@ -18,8 +18,11 @@ up to 40% on identical code, so each per-layer metric is the median of the
 three.  The output holds, per checkout and workload, every run's
 end-to-end metrics and their median, quartiles and interquartile range,
 each per-layer metric's median with the three traced runs beside it, and
-the Python version, CPU and commit from the runs' metadata line.  Any run
-that exits nonzero or reports a failure stops the script.
+the Python version, CPU and commit from the runs' metadata line, and
+``git_dirty``: whether the checkout's working tree had uncommitted changes
+when the script started (``git status --porcelain``; null outside a git
+work tree), since the commit alone does not name what ran.  Any run that
+exits nonzero or reports a failure stops the script.
 """
 
 import argparse
@@ -50,6 +53,16 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace:
     return meta, result
 
 
+def git_dirty(checkout: Path) -> bool | None:
+    """True if the checkout's working tree has uncommitted changes, None
+    if it is not a git work tree."""
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=checkout, capture_output=True,
+                          text=True, timeout=60)
+    if done.returncode != 0:
+        return None
+    return bool(done.stdout.strip())
+
+
 def summarize(values: list[float]) -> dict:
     """Median, quartiles and interquartile range of one metric's runs."""
     if len(values) == 1:
@@ -76,6 +89,7 @@ def main(argv=None) -> int:
             parser.error(f"checkouts are distinct LABEL=PATH pairs, got {item!r}")
         checkouts[label] = Path(path).resolve()
 
+    dirty = {label: git_dirty(path) for label, path in checkouts.items()}
     bench = json.loads((next(iter(checkouts.values())) / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
@@ -105,6 +119,7 @@ def main(argv=None) -> int:
     for label in checkouts:
         entry = {key: meta[label][key] for key in ("git_commit", "source_sha256", "python",
                                                    "implementation", "cpu_model", "nproc")}
+        entry["git_dirty"] = dirty[label]
         entry["workloads"] = {}
         for w in workloads:
             entry["workloads"][w] = {

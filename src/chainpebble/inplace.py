@@ -38,12 +38,10 @@ walk and its checks.
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
 the countdown each step computes anyway (c <= 0).  Widths are checked at
-the boundaries, not per hash through ``evaluate``: the seed once at
-construction, each one-way function output where it is computed (in
-``_fill``, which runs set-up and optimal steps, in the speed-2 step loop,
-and where ``restore`` recomputes a speed-2 state's first emission; all
-call ``owf.fn`` directly), and slot sizes in ``restore``.  Every value
-hashed or emitted is therefore of the function's width.
+the boundaries, not per hash: the seed once at construction and slot
+sizes in ``restore``; one-way function outputs need no check, since
+``owf`` makes every ``owf.fn`` width-exact.  Every value hashed or emitted
+is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The
@@ -61,7 +59,7 @@ from array import array
 from dataclasses import dataclass
 
 from .owf import Owf, WidthError
-from .pebbler import DecodeError, ExhaustedError, _fill, _wrong_width
+from .pebbler import DecodeError, ExhaustedError, _fill
 from .schedule import optimal_remaining
 
 IDLE = "idle"
@@ -172,17 +170,12 @@ class InPlaceSpeed2(_InPlace):
         c >>= i
         q = i - 1
         hashes = 0
-        owf = self.owf
-        fn, width = owf.fn, owf.width
+        fn = self.owf.fn
         while c:
             v = fn(z[i])
-            if len(v) != width:
-                raise _wrong_width(owf, v)
             hashes += 1
             if q:
                 v = fn(v)
-                if len(v) != width:
-                    raise _wrong_width(owf, v)
                 hashes += 1
             z[q] = v
             # skip to the first clear bit above the lowest run of set bits
@@ -299,10 +292,7 @@ def restore(data: bytes, owf: Owf):
             raise DecodeError("slot area has the wrong size")
         state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]
         if r == 1 << k:  # the first emission, left out of the blob, is f(slot 0)
-            v = owf.fn(state.z[0])
-            if len(v) != width:
-                raise _wrong_width(owf, v)
-            state.z.insert(0, v)
+            state.z.insert(0, owf.fn(state.z[0]))
         else:
             state.z.append(None)
         return state

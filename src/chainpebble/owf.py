@@ -15,6 +15,14 @@ registered:
 - ``testmix64``: an 8-byte non-cryptographic mixing permutation, for fast
   exhaustive tests -- pebbling correctness does not depend on one-wayness.
 
+Width rule: every ``Owf.fn`` is width-exact.  A built-in's output width is
+fixed by construction (an md5 digest and an AES block are 16 bytes,
+``testmix64`` packs 8), so its function runs unwrapped; any other function,
+including a built-in's under another width, is wrapped when its ``Owf`` is
+built in a check that raises WidthError on an output of another width.
+Callers therefore check only the inputs they take from outside and call
+``owf.fn`` unchecked on the values it returned.
+
 Values serialize as lowercase hex, two characters per octet, no prefix.
 Handles are immutable and safe to share; evaluation is pure and re-entrant.
 """
@@ -40,11 +48,29 @@ class UnknownOwfError(ValueError):
 
 @dataclass(frozen=True)
 class Owf:
-    """A named, length-preserving one-way function."""
+    """A named, length-preserving one-way function.
+
+    ``fn`` is width-exact: unless it is a built-in's function at that
+    built-in's width, construction replaces it by a wrapper that raises
+    WidthError on an output of another width.
+    """
 
     name: str
     width: int
     fn: Callable[[bytes], bytes] = field(repr=False)
+
+    def __post_init__(self):
+        name, width, fn = self.name, self.width, self.fn
+        if (fn, width) in _EXACT:
+            return
+
+        def checked(v: bytes) -> bytes:
+            out = fn(v)
+            if len(out) != width:
+                raise WidthError(f"{name} returned {len(out)} bytes, expected {width}")
+            return out
+
+        object.__setattr__(self, "fn", checked)
 
 
 def evaluate(owf: Owf, v: bytes) -> bytes:
@@ -58,8 +84,11 @@ def iterate(owf: Owf, v: bytes, m: int) -> bytes:
     """Apply the one-way function m times; iterate(owf, v, 0) is v itself."""
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    for _ in range(m):
-        v = evaluate(owf, v)
+    if m:
+        v = evaluate(owf, v)  # the one input check; fn keeps the width after it
+        fn = owf.fn
+        for _ in range(m - 1):
+            v = fn(v)
     return v
 
 
@@ -84,6 +113,10 @@ def _testmix64(x: bytes) -> bytes:
     z ^= z >> 31
     return z.to_bytes(8, "big")
 
+
+# Each built-in function with the output width it has by construction; a
+# tuple, not a set, so that an unhashable custom fn is still accepted.
+_EXACT = ((_md5_block, 16), (_davies_meyer_aes128, 16), (_testmix64, 8))
 
 _BUILTINS = {
     "md5": Owf("md5", 16, _md5_block),

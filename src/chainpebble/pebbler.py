@@ -27,10 +27,9 @@ bound once; no run keeps a schedule list, so a whole tree holds O(k) values
 in at most max(k, 1) runs.  Both engines share one fill loop, ``_fill``,
 keyed by the hashes a frontier owes plus one; the root's set-up owes 2^k - 1
 whatever the family, so ``finish_setup`` runs it as one fill.  Widths are
-checked at the boundary: the seed once at construction, and each one-way
-function output where the fill loop computes it (by calling ``owf.fn``
-directly).  Every value hashed or emitted is therefore of the function's
-width.
+checked at the boundary, the seed once at construction; one-way function
+outputs need no check, since ``owf`` makes every ``owf.fn`` width-exact.
+Every value hashed or emitted is therefore of the function's width.
 """
 
 import json
@@ -49,10 +48,6 @@ class DecodeError(ValueError):
     """Serialized in-place state is malformed."""
 
 
-def _wrong_width(owf: Owf, v: bytes) -> WidthError:
-    return WidthError(f"{owf.name} returned {len(v)} bytes, expected {owf.width}")
-
-
 def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
     """Spend n hashes on the frontier of the slots z, which owes rem - 1 more.
 
@@ -60,30 +55,36 @@ def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
     done; completed slots stay pinned.  Slot m must hold a value and each
     slot started must be empty, else DecodeError (a restored state lied).
     With rem = 2^k and n = 2^k - 1 on [None]*k + [seed] it runs a whole
-    set-up.  Raises WidthError on any ``owf.fn`` output not of the
-    function's width; other widths are checked where values enter.  It
-    allocates nothing per call beyond the values it hashes (no ``range``),
-    since most calls spend only one or two hashes, and its one counter, n,
-    also marks where each slot's run ends, so a long set-up pays no more
-    per hash than a ``range`` loop would.
+    set-up.  ``owf.fn`` is width-exact, so outputs need no check here.
+    Each slot's share runs as one countdown that stores only its last
+    value; the slot left part-filled is cleared while its run hashes, so
+    its old value is not held beside the new.  It allocates nothing per
+    call beyond the values it hashes (no ``range``), since most calls spend
+    only one or two hashes.
     """
-    fn, width = owf.fn, owf.width
+    fn = owf.fn
     m = rem.bit_length() - 1
-    stop = n - (rem - (1 << m))  # hashes still to spend once slot m is done
     v = z[m]
     if v is None:
         raise DecodeError("hashing from an empty slot")
-    while n:
-        if n == stop:
-            m -= 1
-            stop -= 1 << m
-            if z[m] is not None:
-                raise DecodeError("descended into an occupied slot")
-        v = fn(v)
-        if len(v) != width:
-            raise _wrong_width(owf, v)
+    share = rem - (1 << m)  # hashes slot m still owes
+    if share:
+        z[m] = None
+    while True:
+        if share < n:
+            n -= share
+        else:  # the call ends in slot m
+            share, n = n, 0
+        while share:
+            v = fn(v)
+            share -= 1
         z[m] = v
-        n -= 1
+        if not n:
+            return
+        m -= 1
+        if z[m] is not None:
+            raise DecodeError("descended into an occupied slot")
+        share = 1 << m
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ the public algorithm description, so the package's own hashing path never
 vouches for itself.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, strategies as st
 
 from chainpebble.owf import (
     OWF_NAMES,
+    Owf,
     UnknownOwfError,
     WidthError,
     builtin,
@@ -95,14 +97,15 @@ def test_md5_falls_back_to_hashlib_without_builtin_module():
         "rng = random.Random(5)\n"
         "xs = [rng.randbytes(16) for _ in range(500)]\n"
         "md5 = owf.builtin('md5')\n"
-        "print(owf._md5 is hashlib.md5, all(md5.fn(x) == hashlib.md5(x).digest() for x in xs))\n"
+        "print(owf._md5 is hashlib.md5, all(md5.fn(x) == hashlib.md5(x).digest() for x in xs),\n"
+        "      all(len(md5.fn(x)) == md5.width == 16 for x in xs))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "True"]
+    assert done.stdout.split() == ["True", "True", "True"]
 
 
 def test_md5_width_and_hex_convention():
@@ -144,6 +147,52 @@ def test_width_mismatch_rejected():
         evaluate(builtin("md5"), b"short")
     with pytest.raises(WidthError):
         evaluate(builtin("testmix64"), bytes(16))
+
+
+@pytest.mark.parametrize("name", OWF_NAMES)
+@given(data=st.data())
+def test_builtin_fn_returns_exactly_its_width(name, data):
+    # the engines call fn unchecked on the premise that built-ins keep width
+    owf = builtin(name)
+    v = data.draw(st.binary(min_size=owf.width, max_size=owf.width))
+    assert len(owf.fn(v)) == owf.width
+
+
+def _widen(v):
+    return hashlib.md5(v).digest() + b"\x00"
+
+
+def test_custom_fn_output_width_checked_on_direct_call():
+    with pytest.raises(WidthError, match="returned 17 bytes, expected 16"):
+        Owf("wide", 16, _widen).fn(bytes(16))
+
+
+def test_replacing_builtin_fn_is_checked():
+    with pytest.raises(WidthError):
+        dataclasses.replace(builtin("md5"), fn=_widen).fn(bytes(16))
+
+
+def test_owf_built_from_custom_fn_is_checked():
+    # the inner check is of width 16 and passes; the outer one, of 8, fails
+    inner = Owf("custom", 16, lambda v: hashlib.md5(v).digest())
+    with pytest.raises(WidthError, match="returned 16 bytes, expected 8"):
+        Owf("outer", 8, inner.fn).fn(bytes(16))
+    wide = Owf("wide", 16, _widen)
+    with pytest.raises(WidthError):
+        Owf("again", 16, wide.fn).fn(bytes(16))
+
+
+def test_builtin_fn_under_another_width_is_checked():
+    md5 = builtin("md5")
+    assert Owf("md5", 16, md5.fn).fn is md5.fn  # no wrapper at the declared width
+    with pytest.raises(WidthError):
+        Owf("md5", 8, md5.fn).fn(bytes(8))
+
+
+def test_iterate_checks_input_width():
+    with pytest.raises(WidthError):
+        iterate(builtin("md5"), b"short", 3)
+    assert iterate(builtin("md5"), b"short", 0) == b"short"
 
 
 def test_unknown_name_rejected():

@@ -12,6 +12,7 @@ from chainpebble.pebbler import (
     ExhaustedError,
     Pebbler,
     TraceRow,
+    _fill,
     _Run,
     reverse_oracle,
     run_outputs,
@@ -213,6 +214,33 @@ def test_finish_setup_matches_per_round_setup(family):
             assert p.round_no == 1 << k
             assert p.finish_setup() == 0  # past set-up it does nothing
             assert _rest_of_run(p) == want, (k, stop)
+
+
+def _fill_per_hash(owf, z, rem, n):
+    """Reference for _fill: one hash at a time, from the frontier slot into
+    the slot that owns the hash, bitlen(rem) - 1 and bitlen(rem - 1) - 1."""
+    for _ in range(n):
+        z[(rem - 1).bit_length() - 1] = owf.fn(z[rem.bit_length() - 1])
+        rem -= 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_fill_matches_per_hash_reference(k):
+    # every frontier a set-up passes through (rem = 2^k .. 2), every spend
+    # that stops short of the end: runs that end on a slot boundary, start
+    # at one (rem a power of two) and span several slots
+    z = [None] * k + [SEED]
+    states = {}
+    for rem in range(1 << k, 1, -1):
+        states[rem] = list(z)
+        _fill_per_hash(MIX, z, rem, 1)
+    assert z == [iterate(MIX, SEED, (1 << k) - (1 << i)) for i in range(k + 1)]
+    for rem, start in states.items():
+        for n in range(1, rem):
+            got, want = list(start), list(start)
+            _fill(MIX, got, rem, n)
+            _fill_per_hash(MIX, want, rem, n)
+            assert got == want, (rem, n)
 
 
 def test_md5_reversal_spot():

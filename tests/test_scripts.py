@@ -55,3 +55,24 @@ def test_bench_rejects_checkout_without_label(tmp_path):
     assert done.returncode == 2
     assert "LABEL=PATH" in done.stderr
     assert not (tmp_path / "b.json").exists()
+
+
+def test_bench_records_whether_a_checkout_has_uncommitted_changes(tmp_path):
+    git_dirty = _bench_module().git_dirty
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert git_dirty(plain) is None
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+    (repo / "a.txt").write_text("one\n")
+    subprocess.run(git + ["add", "a.txt"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], cwd=repo, check=True)
+    assert git_dirty(repo) is False
+    (repo / "a.txt").write_text("two\n")
+    assert git_dirty(repo) is True
+    subprocess.run(git + ["checkout", "-q", "a.txt"], cwd=repo, check=True)
+    (repo / "new.txt").write_text("untracked\n")
+    assert git_dirty(repo) is True
