@@ -17,7 +17,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))  # run from a checkout without installing
 
 from chainpebble.cli import default_seed  # noqa: E402
-from chainpebble.owf import builtin  # noqa: E402
+from chainpebble.owf import OWF_NAMES, builtin  # noqa: E402
 from chainpebble.pebbler import run_trace  # noqa: E402
 from chainpebble.schedule import FAMILIES  # noqa: E402
 
@@ -57,8 +57,7 @@ def main():
     parser.add_argument("--k", type=int, default=4, help="panel order (default 4)")
     parser.add_argument("--k-max", type=int, default=10, dest="k_max",
                         help="largest order in the summary table")
-    parser.add_argument("--owf", default="testmix64",
-                        choices=("md5", "davies-meyer-aes128", "testmix64"))
+    parser.add_argument("--owf", default="testmix64", choices=OWF_NAMES)
     args = parser.parse_args()
     owf = builtin(args.owf)
     seed = default_seed(owf)

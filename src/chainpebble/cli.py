@@ -113,8 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family(p):
         p.add_argument("--family", choices=schedule.FAMILIES, default="optimal")
 
+    def order(text: str) -> int:  # argparse names it in "invalid order value"
+        k = int(text)
+        if not 0 <= k <= MAX_K:
+            raise argparse.ArgumentTypeError(f"must be in 0..{MAX_K}")
+        return k
+
     def add_k(p):
-        p.add_argument("--k", type=int, default=4, help=f"chain order, 0..{MAX_K}")
+        p.add_argument("--k", type=order, default=4, help=f"chain order, 0..{MAX_K}")
 
     def add_owf_seed(p):
         p.add_argument("--owf", choices=owf.OWF_NAMES, default="md5")
@@ -140,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_reverse)
 
     p = sub.add_parser("verify", help="run the self-check suite")
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
+    p.add_argument("--k-max", type=order, default=8, dest="k_max")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("serve", help="run the identification server")
@@ -164,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    k = getattr(args, "k", None)
-    if k is not None and not 0 <= k <= MAX_K:
-        parser.error(f"--k must be in 0..{MAX_K}")
-    k_max = getattr(args, "k_max", None)
-    if k_max is not None and not 0 <= k_max <= MAX_K:
-        parser.error(f"--k-max must be in 0..{MAX_K}")
     try:
         return args.run(args)
     except SystemExit as exc:

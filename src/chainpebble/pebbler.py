@@ -10,11 +10,14 @@ The net effect: the chain seed, f(seed), ..., f^(2^k-1)(seed) comes out in
 reverse, one element per round over the last 2^k rounds.
 
 The tree is kept flat: ``Pebbler.children`` is the frontier of runs (the
-sub-pebblers still holding values), highest order first.  The run at its
-hand-off is always the last: it is popped and its children appended.  A
-hand-off allocates runs only for the children that will hash, orders k-1..1;
-the popped run itself becomes the order-0 child, a pinned value emitted
-next round, so a reversal of order k builds 2^(k-1) - 1 runs, not 2^k - 1.
+sub-pebblers still holding values), highest order first.  The root is an
+ordinary run whose local round is the pebbler's, so one frontier loop steps
+the set-up rounds, in which the root runs alone and nothing emits, and the
+reversal rounds alike.  The run at its hand-off is always the last: it is
+popped and its children appended.  A hand-off allocates runs only for the
+children that will hash, orders k-1..1; the popped run itself becomes the
+order-0 child, a pinned value emitted next round, so a reversal of order k
+builds 2^(k-1) - 1 runs, not 2^k - 1.
 
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .owf import Owf, WidthError, evaluate
-from .schedule import RULES
+from .schedule import _checked_rule
 
 
 class ExhaustedError(RuntimeError):
@@ -112,9 +115,9 @@ class _Run:
 
     __slots__ = ("k", "round_no", "seed", "slots", "rem")
 
-    def __init__(self, k: int, seed: bytes, round_no: int = 1):
+    def __init__(self, k: int, seed: bytes):
         self.k = k
-        self.round_no = round_no
+        self.round_no = 1
         self.seed = seed
         self.slots = None
         self.rem = 1 << k  # set-up hashes still owed, plus one
@@ -132,10 +135,7 @@ class Pebbler:
     __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "_rule")
 
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes):
-        if k < 0:
-            raise ValueError("order k must be >= 0")
-        if family not in RULES:
-            raise ValueError(f"unknown schedule family {family!r}")
+        rule = _checked_rule(family, k)
         if len(seed) != owf.width:
             raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
@@ -143,8 +143,8 @@ class Pebbler:
         self.k = k
         self.lifetime = (1 << (k + 1)) - 1
         self.round_no = 1
-        self.children = [_Run(k, seed, 1 << k)]  # frontier; the root run waits at its hand-off
-        self._rule = RULES[family]
+        self.children = [_Run(k, seed)]  # frontier; the root is a run like any other
+        self._rule = rule
 
     @property
     def exhausted(self) -> bool:
@@ -163,31 +163,25 @@ class Pebbler:
     def _round(self) -> tuple[Optional[bytes], int]:
         """Run one round: return (output or None, hashes spent)."""
         r = self.round_no
-        if r < 1 << self.k:  # the root's own set-up: one run, one budget, nothing emits
-            self.round_no = r + 1
-            hashes = self._rule(self.k, r)
-            if hashes:
-                run = self.children[0]
-                z = run.slots
-                _fill(self.owf, run.pin() if z is None else z, run.rem, hashes)
-                run.rem -= hashes
-            return None, hashes
         if r > self.lifetime:
             raise ExhaustedError(f"order-{self.k} pebbler is exhausted after round {self.lifetime}")
         self.round_no = r + 1
         frontier, rule, owf = self.children, self._rule, self.owf
-        # the run at its hand-off is the lowest order, which sits last
-        emitter = frontier.pop() if frontier else None
-        if emitter is None or emitter.round_no < 1 << emitter.k:
-            raise RuntimeError("exactly one run hands off per round")
-        k = emitter.k
-        z = emitter.slots
-        if not k:
-            out = emitter.seed  # order 0: the seed is the run's one value
-        elif z is None or z[0] is None:
-            raise RuntimeError("a run reached its hand-off with its set-up unfinished")
+        if r < 1 << self.k:  # the root's set-up: it runs alone and nothing emits
+            out, k = None, 0
         else:
-            out = z[0]
+            # the run at its hand-off is the lowest order, which sits last
+            emitter = frontier.pop() if frontier else None
+            if emitter is None or emitter.round_no < 1 << emitter.k:
+                raise RuntimeError("exactly one run hands off per round")
+            k = emitter.k
+            z = emitter.slots
+            if not k:
+                out = emitter.seed  # order 0: the seed is the run's one value
+            elif z is None or z[0] is None:
+                raise RuntimeError("a run reached its hand-off with its set-up unfinished")
+            else:
+                out = z[0]
         hashes = 0
         for run in frontier:
             q = run.round_no
@@ -223,7 +217,7 @@ class Pebbler:
         z = run.slots
         _fill(self.owf, run.pin() if z is None else z, run.rem, n)
         run.rem = 1
-        self.round_no = 1 << self.k
+        run.round_no = self.round_no = 1 << self.k
         return n
 
     def storage(self) -> int:
@@ -236,8 +230,6 @@ class Pebbler:
 
     def live_pebblers(self) -> list[tuple[int, int]]:
         """(order, local round) of every run on the frontier, highest order first."""
-        if not self.redundant:
-            return [(self.k, self.round_no)]
         return [(run.k, run.round_no) for run in self.children]
 
 
@@ -252,13 +244,7 @@ def reverse_oracle(owf: Owf, k: int, seed: bytes) -> list[bytes]:
 
 def run_outputs(owf: Owf, family: str, k: int, seed: bytes) -> list[bytes]:
     """Drive a pebbler through its whole lifetime and collect its outputs."""
-    p = Pebbler(owf, family, k, seed)
-    out = []
-    for _ in range(p.lifetime):
-        res = p.step()
-        if res.output is not None:
-            out.append(res.output)
-    return out
+    return [row.output for row in run_trace(owf, family, k, seed) if row.output is not None]
 
 
 def run_trace(owf: Owf, family: str, k: int, seed: bytes) -> list[TraceRow]:

@@ -29,6 +29,12 @@ reasons:
     bad-auth         AUTH without exactly one value
     unknown-command  any other first word
 
+Both ends read each line through one reader, ``_readline``: at most
+MAX_LINE + 1 bytes, whole within IDLE_TIMEOUT.  The client reports a reply
+that never comes whole (EOF, no LF within MAX_LINE bytes, idle-timeout, a
+socket error) as ``connection lost`` and exits 1, and decodes replies with
+``errors="replace"``.
+
 The registration line is trusted as-is -- securing it is a deployment
 concern and must happen out of band.  Sessions are independent; the server
 may run them concurrently but never shares mutable session state.
@@ -166,38 +172,40 @@ def _answer(owf: Owf, verifier: Verifier | None, raw: bytes) -> tuple[str, Verif
     raise Refusal("unknown-command")
 
 
+def _readline(sock: socket.socket, rfile) -> bytes:
+    """Read a line of at most MAX_LINE + 1 bytes from rfile, sock's buffered
+    reader, or what came before EOF; refuse it as idle-timeout unless it is
+    all in within IDLE_TIMEOUT.  Both ends of the wire read through it."""
+    deadline = time.monotonic() + IDLE_TIMEOUT
+    raw = b""
+    try:
+        while len(raw) <= MAX_LINE and not raw.endswith(b"\n"):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError
+            sock.settimeout(left)
+            data = rfile.peek()  # buffered bytes, or at most one recv
+            if not data:
+                break
+            room = MAX_LINE + 1 - len(raw)
+            end = data.find(b"\n", 0, room) + 1  # 0 when no LF is in reach
+            raw += rfile.read(end or min(room, len(data)))
+    except TimeoutError:
+        raise Refusal("idle-timeout") from None
+    sock.settimeout(IDLE_TIMEOUT)  # a reply gets the whole wait
+    return raw
+
+
 class _Session(socketserver.StreamRequestHandler):
     def handle(self):
         """Answer line after line until EOF or the first refusal, which closes."""
         verifier = None
         try:
-            while raw := self._readline():
+            while raw := _readline(self.connection, self.rfile):
                 reply, verifier = _answer(self.server.owf, verifier, raw)
                 self._send(reply)
         except Refusal as exc:
             self._send(f"ERR {exc}")
-
-    def _readline(self) -> bytes:
-        """Read a line of at most MAX_LINE + 1 bytes, or what came before EOF;
-        refuse it as idle-timeout unless it is all in within IDLE_TIMEOUT."""
-        deadline = time.monotonic() + IDLE_TIMEOUT
-        raw = b""
-        try:
-            while len(raw) <= MAX_LINE and not raw.endswith(b"\n"):
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TimeoutError
-                self.connection.settimeout(left)
-                data = self.rfile.peek()  # buffered bytes, or at most one recv
-                if not data:
-                    break
-                room = MAX_LINE + 1 - len(raw)
-                end = data.find(b"\n", 0, room) + 1  # 0 when no LF is in reach
-                raw += self.rfile.read(end or min(room, len(data)))
-        except TimeoutError:
-            raise Refusal("idle-timeout") from None
-        self.connection.settimeout(IDLE_TIMEOUT)  # a reply gets the whole wait
-        return raw
 
     def _send(self, text: str):
         self.wfile.write((text + "\n").encode("utf-8"))
@@ -255,11 +263,14 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
 
     ``tamper`` flips one bit in that round's value before sending; the next
     round retries the same value honestly, demonstrating that a rejection
-    leaves the verifier's anchor unchanged.  Returns a process exit status.
+    leaves the verifier's anchor unchanged.  Returns a process exit status:
+    a reply that ends the session early (EOF, no LF within MAX_LINE bytes,
+    idle-timeout, or a socket error) is reported as ``connection lost`` and
+    gives 1.
     """
     prover = Prover(owf, k, seed)
     try:
-        conn = socket.create_connection((host, port))
+        conn = socket.create_connection((host, port), timeout=IDLE_TIMEOUT)
     except OSError as exc:
         report(f"connection failed: {exc}")
         return 1
@@ -269,33 +280,38 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
         def exchange(line: str) -> str:
             wire.write((line + "\n").encode("utf-8"))
             wire.flush()
-            reply = wire.readline().decode("utf-8").strip()
-            if not reply:
-                raise ConnectionError("server closed the connection")
-            return reply
+            raw = _readline(conn, wire)
+            if not raw.endswith(b"\n"):
+                raise ConnectionError(f"no LF within {MAX_LINE} bytes" if raw
+                                      else "server closed the connection")
+            return raw.decode("utf-8", errors="replace").strip()
 
-        reply = exchange(f"REGISTER {k} {prover.endpoint.hex()}")
-        report(f"registered k={k} endpoint={prover.endpoint.hex()} -> {reply}")
-        if not reply.startswith("OK"):
-            return 1
-        retry: bytes | None = None
-        for j in range(1, rounds + 1):
-            if retry is not None:
-                value, retry = retry, None
-            else:
-                try:
-                    value = prover.next_value()
-                except ExhaustedError as exc:
-                    report(f"round {j}: {exc}")
-                    return 1
-            sent = value
-            if j == tamper:
-                sent = _flip_bit(value)
-                retry = value  # resend honestly next round
-            reply = exchange(f"AUTH {sent.hex()}")
-            report(f"round {j}: {reply} hashes={prover.last_hashes}")
-            if reply == "FAIL" and j != tamper:
-                status = 1
-            if reply.startswith("ERR"):
+        try:
+            reply = exchange(f"REGISTER {k} {prover.endpoint.hex()}")
+            report(f"registered k={k} endpoint={prover.endpoint.hex()} -> {reply}")
+            if not reply.startswith("OK"):
                 return 1
+            retry: bytes | None = None
+            for j in range(1, rounds + 1):
+                if retry is not None:
+                    value, retry = retry, None
+                else:
+                    try:
+                        value = prover.next_value()
+                    except ExhaustedError as exc:
+                        report(f"round {j}: {exc}")
+                        return 1
+                sent = value
+                if j == tamper:
+                    sent = _flip_bit(value)
+                    retry = value  # resend honestly next round
+                reply = exchange(f"AUTH {sent.hex()}")
+                report(f"round {j}: {reply} hashes={prover.last_hashes}")
+                if reply == "FAIL" and j != tamper:
+                    status = 1
+                if reply.startswith("ERR"):
+                    return 1
+        except (OSError, Refusal) as exc:
+            report(f"connection lost: {exc}")
+            return 1
     return status

@@ -42,24 +42,26 @@ RULES = {
 }
 
 
-def budget(family: str, k: int, r: int) -> int:
-    """Budget t_r of set-up round r (1 <= r < 2^k) for order k, in O(1)."""
+def _checked_rule(family: str, k: int):
+    """The family's raw rule, once k and then the family are checked."""
     if k < 0:
         raise ValueError("order k must be >= 0")
-    if not 0 < r < 1 << k:
-        raise ValueError(f"set-up round must satisfy 1 <= r < 2^k, got r={r} for k={k}")
     if family not in RULES:
         raise ValueError(f"unknown schedule family {family!r}")
-    return RULES[family](k, r)
+    return RULES[family]
+
+
+def budget(family: str, k: int, r: int) -> int:
+    """Budget t_r of set-up round r (1 <= r < 2^k) for order k, in O(1)."""
+    rule = _checked_rule(family, k)
+    if not 0 < r < 1 << k:
+        raise ValueError(f"set-up round must satisfy 1 <= r < 2^k, got r={r} for k={k}")
+    return rule(k, r)
 
 
 def make_schedule(family: str, k: int) -> list[int]:
     """Per-round budgets t_1..t_{2^k-1} for the set-up stage of order k."""
-    if k < 0:
-        raise ValueError("order k must be >= 0")
-    if family not in RULES:
-        raise ValueError(f"unknown schedule family {family!r}")
-    rule = RULES[family]
+    rule = _checked_rule(family, k)
     return [rule(k, r) for r in range(1, 1 << k)]
 
 
@@ -134,33 +136,25 @@ def parity_round(halves: list[int], k: int) -> list[int]:
     return [((k + r) % 2 + d) // 2 for r, d in enumerate(halves, 1)]
 
 
-def work_sequence(family: str, k: int) -> list[int]:
-    """Hashes per round over the last 2^k-1 rounds of an order-k pebbler.
-
-    Built from the recurrence: the child started last runs its set-up budgets
-    on top of the previous work sequence, then a free round, then the
-    previous work sequence again.
-    """
+def _work(schedules) -> list[int]:
+    """The work recurrence over the schedules of orders 0..k-1: the child
+    started last runs its set-up budgets on top of the previous work
+    sequence, then a free round, then the previous work sequence again."""
     w: list[int] = []
-    for order in range(1, k + 1):
-        t = make_schedule(family, order - 1)
+    for t in schedules:
         w = [a + b for a, b in zip(t, w)] + [0] + w
     return w
 
 
-def _half_schedule(k: int) -> list[int]:
-    if k <= 1:
-        return [2] * k  # orders 0 and 1 are already integral
-    return unrounded_optimal(k)
+def work_sequence(family: str, k: int) -> list[int]:
+    """Hashes per round over the last 2^k-1 rounds of an order-k pebbler."""
+    return _work(make_schedule(family, order) for order in range(k))
 
 
 def work_sequence_half(k: int) -> list[int]:
-    """Unrounded optimal work sequence, doubled; same recurrence, exact."""
-    w: list[int] = []
-    for order in range(1, k + 1):
-        t = _half_schedule(order - 1)
-        w = [a + b for a, b in zip(t, w)] + [0] + w
-    return w
+    """Unrounded optimal work sequence, doubled; same recurrence, exact.
+    Orders 0 and 1 are already integral."""
+    return _work([2] * order if order <= 1 else unrounded_optimal(order) for order in range(k))
 
 
 def key_equation_holds(k: int) -> bool:

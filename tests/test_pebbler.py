@@ -187,6 +187,18 @@ def test_live_pebblers_golden_digest(family):
     assert digest.hexdigest() == GOLDEN_LIVE_SHA256
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_root_round_is_the_pebblers_until_its_handoff(family):
+    # the root is an ordinary frontier run, stepped by the same loop in its
+    # set-up rounds as in every later round
+    for k in range(9):
+        p = Pebbler(MIX, family, k, SEED)
+        while not p.redundant:
+            [root] = p.children
+            assert (root.k, root.round_no) == (k, p.round_no), (k, p.round_no)
+            p.step()
+
+
 def _rest_of_run(p):
     """run_trace's rows for the rounds p has left, each with live_pebblers()."""
     rows = []

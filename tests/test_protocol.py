@@ -522,3 +522,50 @@ def test_client_connection_failure():
     status = run_client(MIX, 1, SEED, "127.0.0.1", free_port, 1, report=lines.append)
     assert status == 1
     assert "connection failed" in lines[0]
+
+
+def _wait_for_client(conn, reader):
+    """Hold the connection open until the client closes it, at most 2 s."""
+    conn.settimeout(2)
+    try:
+        reader.read()
+    except OSError:  # timed out or reset
+        pass
+
+
+# what a fake server sends once it has read REGISTER; None closes at once
+BROKEN_REPLIES = {
+    "closes": (None, "connection lost: server closed the connection"),
+    "no-lf": (b"A" * (MAX_LINE + 1), f"connection lost: no LF within {MAX_LINE} bytes"),
+    "not-utf8": (b"\xff\xfe\n", "-> ��"),
+    "silent": (b"", "connection lost: idle-timeout"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_REPLIES)
+def test_client_reports_a_broken_server_and_exits_1(monkeypatch, case):
+    # the client reads its replies through the server's bounded reader: one
+    # report line and status 1, whatever the server does, and no traceback
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.2)
+    reply, want = BROKEN_REPLIES[case]
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                reader.readline()
+                if reply is not None:
+                    conn.sendall(reply)
+                    _wait_for_client(conn, reader)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    lines = []
+    status = run_client(MIX, 2, SEED, "127.0.0.1", listener.getsockname()[1], 1,
+                        report=lines.append)
+    thread.join(10)
+    assert not thread.is_alive()
+    assert status == 1
+    assert len(lines) == 1 and lines[0].endswith(want), lines
