@@ -10,12 +10,15 @@ Subcommands:
 - ``verify``    run the ``checks`` suite, printing ``ok`` or ``FAIL`` per property
                 and, for a failure, its counterexample (family, k and round)
 - ``serve``     accept identification sessions on a TCP port
-- ``client``    register against a server and run identification rounds; a round
-                past the chain's last prints the engine's own "exhausted" error, exit 1
+- ``client``    register against a server and run identification rounds; exit 0
+                when every reply is the one an honest exchange gets, 1 at the
+                first other reply, at a lost connection, or at a round past the
+                chain's last, which prints the engine's own "exhausted" error
 
 The default seed is the md5 digest of the empty string for the md5 function,
 and the function applied to the all-zero block otherwise, so default streams
-are reproducible.  Exit codes: 0 ok, 1 failure, 2 usage error.
+are reproducible.  Exit codes: 0 ok, 1 failure, 2 usage error (such as an
+out-of-range ``--k`` or ``--port``).
 """
 
 import argparse
@@ -119,6 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be in 0..{MAX_K}")
         return k
 
+    def port(text: str) -> int:  # argparse names it in "invalid port value"
+        number = int(text)
+        if not 0 <= number <= 65535:
+            raise argparse.ArgumentTypeError("must be in 0..65535")
+        return number
+
+    def add_address(p):
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument("--port", type=port, default=4040, help="TCP port, 0..65535")
+
     def add_k(p):
         p.add_argument("--k", type=order, default=4, help=f"chain order, 0..{MAX_K}")
 
@@ -150,14 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("serve", help="run the identification server")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=4040)
+    add_address(p)
     p.add_argument("--owf", choices=owf.OWF_NAMES, default="md5")
     p.set_defaults(run=cmd_serve)
 
     p = sub.add_parser("client", help="run identification rounds against a server")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=4040)
+    add_address(p)
     add_k(p)
     add_owf_seed(p)
     p.add_argument("--rounds", type=int, default=1)

@@ -49,6 +49,10 @@ steppers hold nothing else either (``__slots__``, no ``__dict__``), apart
 from the optimal stepper's ``rem``, derived from (k, r) and never saved.
 The order k is at most 30, checked at construction and in ``restore``,
 because ``save`` stores the round counter (up to 2^(k+1)) in four octets.
+A restored state holds exactly the live state's values: speed-2 blobs
+repeat a value into each empty slot, so ``restore`` empties again every
+slot at or above the bit length of c = 2^(k+1) - r (none at r = 2^k, when
+all k+1 are held), the slots a speed-2 state holds between rounds.
 ``restore`` checks the header, the counter's range, the slot area's size
 and the presence flags; a restored optimal state whose flags lie raises
 DecodeError when a step would emit an empty slot (in ``step``), hash from
@@ -293,8 +297,9 @@ def restore(data: bytes, owf: Owf):
         state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]
         if r == 1 << k:  # the first emission, left out of the blob, is f(slot 0)
             state.z.insert(0, owf.fn(state.z[0]))
-        else:
-            state.z.append(None)
+        else:  # live are the slots below c's bit length, c = 2^(k+1) - r
+            n = ((2 << k) - r).bit_length()
+            state.z[n:] = [None] * (k + 1 - n)
         return state
     if len(body) != (k + 1) * (width + 1):
         raise DecodeError("slot area has the wrong size")

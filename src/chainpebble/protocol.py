@@ -29,11 +29,21 @@ reasons:
     bad-auth         AUTH without exactly one value
     unknown-command  any other first word
 
+A session ends in one place, its handler's one ``try``: on EOF, after the
+ERR of its first refusal, or on any socket error (a reset, a broken pipe, a
+write timeout), which ends it without a word or a traceback.  The server
+counts each accepted connection in once, when it hands it on, and out once,
+when socketserver shuts the request down, so the MAX_SESSIONS cap counts
+exactly the sessions still open.
+
 Both ends read each line through one reader, ``_readline``: at most
-MAX_LINE + 1 bytes, whole within IDLE_TIMEOUT.  The client reports a reply
-that never comes whole (EOF, no LF within MAX_LINE bytes, idle-timeout, a
-socket error) as ``connection lost`` and exits 1, and decodes replies with
-``errors="replace"``.
+MAX_LINE + 1 bytes, whole within IDLE_TIMEOUT.  The client expects one
+reply to each line, the one an honest exchange gets: ``OK 0`` to REGISTER,
+``OK <n>`` to the AUTH of its n-th released value, ``FAIL`` to the value it
+tampered with.  It reports each reply and exits 1 at the first other one.
+A reply that never comes whole (EOF, no LF within MAX_LINE bytes,
+idle-timeout, a socket error) it reports as ``connection lost`` and exits
+1; it decodes replies with ``errors="replace"``.
 
 The registration line is trusted as-is -- securing it is a deployment
 concern and must happen out of band.  Sessions are independent; the server
@@ -198,14 +208,18 @@ def _readline(sock: socket.socket, rfile) -> bytes:
 
 class _Session(socketserver.StreamRequestHandler):
     def handle(self):
-        """Answer line after line until EOF or the first refusal, which closes."""
+        """Answer line after line.  The session ends here, and only here: on
+        EOF, on its first refusal once the ERR is sent, or on any socket error."""
         verifier = None
         try:
-            while raw := _readline(self.connection, self.rfile):
-                reply, verifier = _answer(self.server.owf, verifier, raw)
-                self._send(reply)
-        except Refusal as exc:
-            self._send(f"ERR {exc}")
+            try:
+                while raw := _readline(self.connection, self.rfile):
+                    reply, verifier = _answer(self.server.owf, verifier, raw)
+                    self._send(reply)
+            except Refusal as exc:
+                self._send(f"ERR {exc}")
+        except OSError:
+            pass  # a reset, a broken pipe or a write timeout: no one is left to tell
 
     def _send(self, text: str):
         self.wfile.write((text + "\n").encode("utf-8"))
@@ -224,33 +238,27 @@ class IdentificationServer(socketserver.ThreadingTCPServer):
         self._sessions_lock = threading.Lock()
 
     def process_request(self, request, client_address):
-        """Start a session thread, or answer ERR busy and close at the cap."""
+        """Count the request in, then start its session thread, or answer
+        ERR busy and close it when the count passes MAX_SESSIONS."""
         with self._sessions_lock:
-            busy = self._sessions >= MAX_SESSIONS
-            if not busy:
-                self._sessions += 1
+            self._sessions += 1
+            busy = self._sessions > MAX_SESSIONS
         if busy:
             try:
                 request.sendall(b"ERR busy\n")
             except OSError:
                 pass  # the client is gone; close all the same
             self.shutdown_request(request)
-            return
-        try:
+        else:
             super().process_request(request, client_address)
-        except BaseException:  # no thread started, so none will release the count
-            self._end_session()
-            raise
 
-    def process_request_thread(self, request, client_address):
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self._end_session()
-
-    def _end_session(self):
+    def shutdown_request(self, request):
+        """Count the request out and close it.  socketserver calls this once
+        for every request handed to process_request: when its thread ends,
+        or when process_request raises."""
         with self._sessions_lock:
             self._sessions -= 1
+        super().shutdown_request(request)
 
 
 def _flip_bit(v: bytes) -> bytes:
@@ -263,10 +271,13 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
 
     ``tamper`` flips one bit in that round's value before sending; the next
     round retries the same value honestly, demonstrating that a rejection
-    leaves the verifier's anchor unchanged.  Returns a process exit status:
-    a reply that ends the session early (EOF, no LF within MAX_LINE bytes,
-    idle-timeout, or a socket error) is reported as ``connection lost`` and
-    gives 1.
+    leaves the verifier's anchor unchanged.  Each reply is reported, then
+    compared with the one an honest exchange gets: ``OK 0`` after REGISTER,
+    ``OK <released>`` after an honest AUTH, ``FAIL`` after the tampered one.
+    Returns a process exit status: 0 when every reply is the expected one,
+    1 at the first that is not, at a round past the chain's last, or at a
+    reply that ends the session early (EOF, no LF within MAX_LINE bytes,
+    idle-timeout, or a socket error), which is reported as ``connection lost``.
     """
     prover = Prover(owf, k, seed)
     try:
@@ -274,44 +285,40 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
     except OSError as exc:
         report(f"connection failed: {exc}")
         return 1
-    status = 0
     with conn, conn.makefile("rwb") as wire:
 
-        def exchange(line: str) -> str:
+        def exchange(line: str, want: str, before: str, after: str = "") -> bool:
+            """Send line, report its reply between before and after, and tell
+            whether the reply is want."""
             wire.write((line + "\n").encode("utf-8"))
             wire.flush()
             raw = _readline(conn, wire)
             if not raw.endswith(b"\n"):
                 raise ConnectionError(f"no LF within {MAX_LINE} bytes" if raw
                                       else "server closed the connection")
-            return raw.decode("utf-8", errors="replace").strip()
+            reply = raw.decode("utf-8", errors="replace").strip()
+            report(before + reply + after)
+            return reply == want
 
         try:
-            reply = exchange(f"REGISTER {k} {prover.endpoint.hex()}")
-            report(f"registered k={k} endpoint={prover.endpoint.hex()} -> {reply}")
-            if not reply.startswith("OK"):
+            if not exchange(f"REGISTER {k} {prover.endpoint.hex()}", "OK 0",
+                            f"registered k={k} endpoint={prover.endpoint.hex()} -> "):
                 return 1
-            retry: bytes | None = None
+            held: bytes | None = None  # released, not yet accepted
             for j in range(1, rounds + 1):
-                if retry is not None:
-                    value, retry = retry, None
-                else:
-                    try:
-                        value = prover.next_value()
-                    except ExhaustedError as exc:
-                        report(f"round {j}: {exc}")
-                        return 1
-                sent = value
+                if held is None:
+                    held = prover.next_value()
                 if j == tamper:
-                    sent = _flip_bit(value)
-                    retry = value  # resend honestly next round
-                reply = exchange(f"AUTH {sent.hex()}")
-                report(f"round {j}: {reply} hashes={prover.last_hashes}")
-                if reply == "FAIL" and j != tamper:
-                    status = 1
-                if reply.startswith("ERR"):
+                    sent, want = _flip_bit(held), "FAIL"  # held is resent next round
+                else:
+                    sent, want, held = held, f"OK {prover.released}", None
+                if not exchange(f"AUTH {sent.hex()}", want, f"round {j}: ",
+                                f" hashes={prover.last_hashes}"):
                     return 1
+        except ExhaustedError as exc:
+            report(f"round {j}: {exc}")
+            return 1
         except (OSError, Refusal) as exc:
             report(f"connection lost: {exc}")
             return 1
-    return status
+    return 0

@@ -121,6 +121,14 @@ def test_unknown_flags_are_usage_errors():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["serve", "client"])
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_port_out_of_range_is_usage_error(command, port):
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--port", port])
+    assert err.value.code == 2
+
+
 def test_verify_passes(capsys):
     status, out = run_cli(capsys, "verify", "--k-max", "6")
     assert status == 0

@@ -371,6 +371,18 @@ def test_save_restore_every_boundary(cls):
         assert remaining == stream[at:], at
 
 
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_restore_holds_exactly_the_saved_values(cls, k):
+    # not only the same stream: no slot left empty by the steps is refilled
+    state = cls(MIX, k, SEED)
+    while True:
+        assert restore(save(state), MIX).z == state.z, state.r
+        if state.exhausted:
+            break
+        state.step()
+
+
 def test_restore_rejects_malformed():
     good = save(InPlaceSpeed2(MIX, 3, SEED))
     with pytest.raises(DecodeError):

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -496,6 +497,53 @@ def test_wire_caps_concurrent_sessions(server, monkeypatch):
         time.sleep(0.01)
 
 
+def test_wire_peer_reset_ends_the_session_quietly(server, monkeypatch, capsys):
+    # a client that sends a line and then resets: the session ends on the
+    # socket error, with no traceback, and is counted out
+    port = server.server_address[1]
+    register = f"REGISTER 2 {Prover(MIX, 2, SEED).endpoint.hex()}\n".encode()
+    for _ in range(3):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.sendall(register)
+    # under a cap of one, a new session registers only once all three are out
+    monkeypatch.setattr(protocol, "MAX_SESSIONS", 1)
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            reply = _send_raw(port, register)
+        except OSError:  # refused and reset while the client was sending
+            reply = ""
+        if reply == "OK 0":
+            break
+        assert time.monotonic() < deadline, reply
+        time.sleep(0.01)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _refuse_to_start(thread):
+    raise RuntimeError("can't start new thread")
+
+
+def test_wire_counts_out_a_session_whose_thread_never_starts(monkeypatch):
+    srv = IdentificationServer(MIX, "127.0.0.1", 0)
+    port = srv.server_address[1]
+    register = f"REGISTER 2 {Prover(MIX, 2, SEED).endpoint.hex()}\n".encode()
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", _refuse_to_start)
+                srv.handle_request()  # socketserver reports the error and closes
+            assert conn.recv(64) == b""
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        monkeypatch.setattr(protocol, "MAX_SESSIONS", 1)
+        assert _send_raw(port, register) == "OK 0"
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
 def test_client_run_with_tamper_and_recovery(server):
     port = server.server_address[1]
     lines = []
@@ -569,3 +617,40 @@ def test_client_reports_a_broken_server_and_exits_1(monkeypatch, case):
     assert not thread.is_alive()
     assert status == 1
     assert len(lines) == 1 and lines[0].endswith(want), lines
+
+
+# replies a fake server sends, one per line it reads, the last of which no
+# honest exchange gets
+WRONG_REPLIES = {
+    "auth-not-utf8": [b"OK 0\n", b"\xff\xfe\n"],
+    "auth-wrong-count": [b"OK 0\n", b"OK 5\n"],
+    "register-okay": [b"OKAY\n"],
+}
+
+
+@pytest.mark.parametrize("case", WRONG_REPLIES)
+def test_client_exits_1_at_a_reply_no_honest_exchange_gets(monkeypatch, case):
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.2)
+    replies = WRONG_REPLIES[case]
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                for reply in replies:
+                    reader.readline()
+                    conn.sendall(reply)
+                _wait_for_client(conn, reader)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    lines = []
+    status = run_client(MIX, 2, SEED, "127.0.0.1", listener.getsockname()[1],
+                        len(replies) - 1, report=lines.append)
+    thread.join(10)
+    assert not thread.is_alive()
+    assert status == 1
+    # every reply reported, the wrong one last, and nothing sent after it
+    assert len(lines) == len(replies), lines
