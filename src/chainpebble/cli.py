@@ -9,7 +9,9 @@ Subcommands:
                 on the framework pebbler otherwise
 - ``verify``    run the ``checks`` suite, printing ``ok`` or ``FAIL`` per property
                 and, for a failure, its counterexample (family, k and round)
-- ``serve``     accept identification sessions on a TCP port
+- ``serve``     accept identification sessions on a TCP port; exit 1 with one
+                ``error:`` line when it cannot listen there (port in use,
+                unresolvable host)
 - ``client``    register against a server and run identification rounds; exit 0
                 when every reply is the one an honest exchange gets, 1 at the
                 first other reply, at a lost connection, or at a round past the
@@ -87,7 +89,11 @@ def cmd_verify(args) -> int:
 
 def cmd_serve(args) -> int:
     fn = owf.builtin(args.owf)
-    server = protocol.IdentificationServer(fn, args.host, args.port)
+    try:
+        server = protocol.IdentificationServer(fn, args.host, args.port)
+    except OSError as exc:  # port in use or privileged, host unresolvable or not local
+        print(f"error: cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 1
     host, port = server.server_address[:2]
     print(f"listening on {host}:{port} owf={fn.name}", file=sys.stderr)
     try:

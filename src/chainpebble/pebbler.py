@@ -29,7 +29,13 @@ Budgets are computed per round by the family's rule in ``schedule.RULES``,
 bound once; no run keeps a schedule list, so a whole tree holds O(k) values
 in at most max(k, 1) runs.  Both engines share one fill loop, ``_fill``,
 keyed by the hashes a frontier owes plus one; the root's set-up owes 2^k - 1
-whatever the family, so ``finish_setup`` runs it as one fill.  Widths are
+whatever the family, so ``finish_setup`` runs it as one fill.  The fill
+hands a slot's share of ``owf.KERNEL_MIN`` (32) hashes or more to the
+one-way function's kernel when it has one (the built-in md5's libcrypto
+loop), so set-up's whole slots, 2^(k-1) down to 32 hashes, run in C; an
+optimal, speed-2 or speed-1 round spends at most ceil(k/2) <= 15 hashes and
+never reaches it, and without a kernel every share is the Python
+countdown, with identical values.  Widths are
 checked at the boundary, the seed once at construction; one-way function
 outputs need no check, since ``owf`` makes every ``owf.fn`` width-exact.
 Every value hashed or emitted is therefore of the function's width.
@@ -39,7 +45,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .owf import Owf, WidthError, evaluate
+from .owf import KERNEL_MIN, Owf, WidthError, evaluate
 from .schedule import _checked_rule
 
 
@@ -63,7 +69,10 @@ def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
     value; the slot left part-filled is cleared while its run hashes, so
     its old value is not held beside the new.  It allocates nothing per
     call beyond the values it hashes (no ``range``), since most calls spend
-    only one or two hashes.
+    only one or two hashes.  A share of at least ``owf.KERNEL_MIN`` (32)
+    hashes goes to the handle's kernel instead, when it has one (the
+    built-in md5's libcrypto loop): set-up's slots 5 and up.  No optimal,
+    speed-2 or speed-1 round spends that many, so rounds keep the countdown.
     """
     fn = owf.fn
     m = rem.bit_length() - 1
@@ -78,9 +87,12 @@ def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
             n -= share
         else:  # the call ends in slot m
             share, n = n, 0
-        while share:
-            v = fn(v)
-            share -= 1
+        if share < KERNEL_MIN or owf._kernel is None:
+            while share:
+                v = fn(v)
+                share -= 1
+        else:  # a long run, set-up's whole slots: one call into C
+            v = owf._kernel(v, share)
         z[m] = v
         if not n:
             return

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, self-checks, and the loopback demo."""
 
 import json
+import socket
 import threading
 from dataclasses import replace
 
@@ -224,3 +225,29 @@ def test_serve_and_client_loopback(capsys):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_serve_on_a_port_in_use_is_one_error_line(capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        status = cli.main(["serve", "--host", "127.0.0.1", "--port", str(port)])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_serve_on_an_unresolvable_host_is_one_error_line(capsys, monkeypatch):
+    # the resolver's failure is raised in place of a lookup, which would
+    # leave the machine
+    def unresolvable(owf, host, port):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(cli.protocol, "IdentificationServer", unresolvable)
+    status = cli.main(["serve", "--host", "not a host", "--port", "4040"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err == (f"error: cannot listen on not a host:4040: [Errno {socket.EAI_NONAME}] "
+                   "Name or service not known\n")

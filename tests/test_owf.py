@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -222,3 +223,132 @@ def test_iterate_composes(v, a, b):
 def test_iterate_preserves_width(v):
     mix = builtin("testmix64")
     assert len(iterate(mix, v, 3)) == 8
+
+
+# -- the libcrypto md5 kernel --------------------------------------------------
+
+KERNEL = builtin("md5")._kernel
+needs_kernel = pytest.mark.skipif(KERNEL is None, reason="the libcrypto md5 kernel did not load")
+
+
+def _hashlib_chain(v: bytes, n: int) -> bytes:
+    for _ in range(n):
+        v = hashlib.md5(v).digest()
+    return v
+
+
+def _ref_chain(v: bytes, n: int) -> bytes:
+    for _ in range(n):
+        v = ref_md5(v)
+    return v
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 4096])
+def test_md5_kernel_known_answers(n):
+    expect = _ref_chain(EMPTY_DIGEST, n) if n < 64 else _hashlib_chain(EMPTY_DIGEST, n)
+    assert KERNEL(EMPTY_DIGEST, n) == expect
+    assert iterate(builtin("md5"), EMPTY_DIGEST, n) == expect
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+def test_md5_set_up_takes_any_bytes_like_seed(kind):
+    from chainpebble import Prover
+
+    expect = _hashlib_chain(EMPTY_DIGEST, 1 << 8)
+    for engine in ("auto", "framework"):
+        assert Prover(builtin("md5"), 8, kind(EMPTY_DIGEST), engine).endpoint == expect
+
+
+def test_md5_kernel_only_on_the_builtin_function():
+    md5 = builtin("md5")
+    assert Owf("md5", 16, md5.fn)._kernel is KERNEL
+    assert Owf("md5", 16, lambda v: md5.fn(v))._kernel is None
+    assert dataclasses.replace(md5, fn=_widen)._kernel is None
+    assert builtin("testmix64")._kernel is None
+    assert builtin("davies-meyer-aes128")._kernel is None
+    assert "kernel" not in repr(md5)
+
+
+@needs_kernel
+def test_md5_kernel_splits_runs_into_chunks(monkeypatch):
+    from chainpebble import owf
+
+    counts = []
+    run = owf._MD5_RUN
+
+    def counted(v, count):
+        counts.append(count)
+        return run(v, count)
+
+    monkeypatch.setattr(owf, "_MD5_RUN", counted)
+    monkeypatch.setattr(owf, "_CHUNK", 5)
+    assert owf._md5_kernel(EMPTY_DIGEST, 33) == _hashlib_chain(EMPTY_DIGEST, 33)
+    assert counts == [5] * 6 + [3]
+    counts.clear()
+    assert owf._md5_kernel(EMPTY_DIGEST, 10) == _hashlib_chain(EMPTY_DIGEST, 10)
+    assert counts == [5, 5]
+
+
+def test_md5_without_ctypes_runs_in_python_with_identical_chains():
+    # no ctypes, hence no kernel: the package still imports and every chain,
+    # from iterate and from both engines' set-ups, is the same
+    probe = (
+        "import sys\n"
+        "sys.modules['ctypes'] = None\n"
+        "import chainpebble\n"
+        "from chainpebble import owf, Prover\n"
+        "md5 = owf.builtin('md5')\n"
+        "seed = bytes(range(16))\n"
+        "print(md5._kernel is None, owf._MD5_RUN is None)\n"
+        "print(owf.iterate(md5, seed, 4096).hex())\n"
+        "for engine in ('auto', 'framework'):\n"
+        "    p = Prover(md5, 10, seed, engine=engine)\n"
+        "    print(p.endpoint.hex(), b''.join(p.next_value() for _ in range(1024)).hex())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["True", "True"]
+    md5 = builtin("md5")
+    seed = bytes(range(16))
+    assert lines[1] == _hashlib_chain(seed, 4096).hex()
+    from chainpebble import Prover
+
+    for line, engine in zip(lines[2:], ("auto", "framework"), strict=True):
+        p = Prover(md5, 10, seed, engine=engine)
+        values = b"".join(p.next_value() for _ in range(1024))
+        assert line.split() == [p.endpoint.hex(), values.hex()]
+    assert len(lines) == 4
+
+
+def test_md5_provers_built_in_threads_agree():
+    # more threads than cores, switching often: the kernel releases the GIL
+    # mid-call, so concurrent set-ups overlap inside it
+    from chainpebble import Prover
+
+    md5 = builtin("md5")
+    seed = bytes(range(16))
+    expect = _hashlib_chain(seed, 1 << 12)
+    start = threading.Barrier(8, timeout=60)
+    endpoints = [None] * 8
+
+    def build(i):
+        start.wait()
+        endpoints[i] = [Prover(md5, 12, seed).endpoint for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert endpoints == [[expect] * 4] * 8

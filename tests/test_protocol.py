@@ -1,5 +1,6 @@
 """Identification protocol: prover, verifier, and the line-based wire format."""
 
+import dataclasses
 import hashlib
 import re
 import socket
@@ -12,10 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainpebble import protocol
+from chainpebble import inplace, protocol
 from chainpebble.inplace import STEPPERS
 from chainpebble.owf import Owf, builtin, evaluate, iterate
-from chainpebble.pebbler import ExhaustedError, reverse_oracle
+from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import (
     ENGINES,
     MAX_LINE,
@@ -65,6 +66,59 @@ def test_every_engine_refuses_to_release_past_the_chain(engine):
             with pytest.raises(ExhaustedError, match="exhausted"):
                 prover.next_value()
             assert prover.released == 1 << k
+
+
+class CountingKernel:
+    """The md5 kernel behind a shim that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, v: bytes, n: int) -> bytes:
+        self.calls += 1
+        return MD5._kernel(v, n)
+
+
+def md5_with_kernel(kernel) -> Owf:
+    """The built-in md5 with its kernel replaced (None: the Python countdown)."""
+    owf = dataclasses.replace(MD5)
+    object.__setattr__(owf, "_kernel", kernel)
+    return owf
+
+
+def release_all(prover: Prover) -> tuple[list, list, list]:
+    """Every release, its hash count and, in place, the saved state after it."""
+    pebbler = prover.pebbler
+    in_place = not isinstance(pebbler, Pebbler)
+    values, hashes, blobs = [], [], [inplace.save(pebbler)] if in_place else []
+    for _ in range(1 << pebbler.k):
+        values.append(prover.next_value())
+        hashes.append(prover.last_hashes)
+        if in_place:
+            blobs.append(inplace.save(pebbler))
+    return values, hashes, blobs
+
+
+@pytest.mark.skipif(MD5._kernel is None, reason="the libcrypto md5 kernel did not load")
+@pytest.mark.parametrize("engine", ENGINES)
+def test_md5_kernel_path_is_byte_identical_and_set_up_only(engine):
+    # set-up hands each slot of 32 hashes or more to the kernel, one call
+    # each (slots 5..k-1); no round calls it, and releases, hash counts and
+    # saved states are those of the Python countdown
+    seed = hashlib.md5(b"kernel").digest()
+    for k in range(1, 13):
+        shim = CountingKernel()
+        fast = Prover(md5_with_kernel(shim), k, seed, engine)
+        assert shim.calls == max(k - 5, 0)
+        assert release_all(fast) == release_all(Prover(md5_with_kernel(None), k, seed, engine))
+        assert shim.calls == max(k - 5, 0)
+    for k in range(13, 17):
+        shim = CountingKernel()
+        prover = Prover(md5_with_kernel(shim), k, seed, engine)
+        assert shim.calls == k - 5
+        for _ in range(1 << k):
+            prover.next_value()
+        assert shim.calls == k - 5
 
 
 @pytest.mark.parametrize("engine", ENGINES)
