@@ -5,13 +5,14 @@ Usage, from the root of a checkout:
     python3 scripts/bench.py --out BENCH_14.json parent=/path/to/parent change=.
 
 Each LABEL=PATH names a checkout.  For every workload that the first
-checkout's BENCHMARK.json gates and seeds 1..5, the script runs
+checkout's BENCHMARK.json gates and seeds 1..10, the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 40 --trace 0
 
 (40 being BENCHMARK.json's ``run_seconds``) in each checkout in turn,
 alternating which checkout goes first from one seed to the next, so that
-host drift falls on both sides alike.  It then runs ``--trace 1`` with
+host drift falls on both sides alike; ten seeds give the ten pairs on
+which a claimed gain must win nine times.  It then runs ``--trace 1`` with
 seeds 1..3 the same way, for the per-layer metrics (``owf.fn_ns``, the md5
 cost of each run, calibrates the timings); a single traced run moves by
 up to 40% on identical code, so each per-layer metric is the median of the
@@ -32,7 +33,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEEDS = range(1, 6)
+SEEDS = range(1, 11)
 TRACE_SEEDS = range(1, 4)
 
 

@@ -26,25 +26,25 @@ Callers therefore check only the inputs they take from outside and call
 Long md5 runs in C: the built-in ``md5`` handle also carries a kernel that
 computes MD5^n(v) inside libcrypto in one ``ctypes`` call, through
 ``EVP_BytesToKey`` (which defines its first output block as HASH^count of
-the data; with no salt and a 16-octet key, no IV, that is exactly MD5^n).
-Its digest comes from ``EVP_MD_fetch`` where that exists (OpenSSL 3); the
-legacy ``EVP_md5()`` handle, used on OpenSSL 1.1, re-fetches the digest on
-every iteration (on OpenSSL 3.0.19 it cost 715 ns a hash against 233 ns).
-A call costs about 2-3 us on top of its hashes, so ``pebbler._fill`` and
-``iterate`` hand a run to the kernel only when it is at least
-``KERNEL_MIN`` = 32 hashes long (break-even is about 20).  That covers a
-set-up's whole slots, 2^(k-1) down to 32 hashes, and no optimal, speed-2 or
-speed-1 round: their budgets are at most ceil(k/2) <= 15 at any order the
-engines take (k <= 30), so round streams, hash counts and timings are those
-of the Python countdown.  The kernel is loaded and self-tested against
-``_md5_block`` once, at import: ``ctypes``, the library lookup and the
-self-test add about 13 ms to ``import chainpebble`` (2-vCPU x86-64 host).
-No libcrypto, a missing symbol, no MD5 digest (as under FIPS), a mismatch,
-or no ``ctypes`` at all leaves no kernel, and every run is the Python
-countdown, with identical values.  ``ctypes`` releases the GIL for the call
-and each call makes its own output buffer, so the kernel is re-entrant.
-A handle over any other function, a metered or wrapped md5 included,
-carries no kernel.
+the data; with no salt and a 16-octet key, no IV, that is exactly MD5^n)
+and the digest ``EVP_MD_fetch`` returns (OpenSSL 3).  The library is the
+one CPython's own ``_hashlib`` links, reached through that module's file:
+no library is searched for by name and no process is started.  A call
+costs about 2-3 us on top of its hashes, so ``pebbler._fill`` hands a run
+to the kernel only when it is at least ``KERNEL_MIN`` = 32 hashes long
+(break-even is about 20).  That covers a set-up's whole slots, 2^(k-1)
+down to 32 hashes, and no optimal, speed-2 or speed-1 round: their budgets
+are at most ceil(k/2) <= 15 at any order the engines take (k <= 30), so
+round streams, hash counts and timings are those of the Python countdown.
+``iterate`` stays the plain countdown.  The kernel is loaded and
+self-tested against ``_md5_block`` once, at import, which adds about
+10 ms to ``import chainpebble`` (2-vCPU x86-64 host).  No ``_hashlib``
+or ``ctypes``, a missing symbol (as in OpenSSL 1.1, which has no
+``EVP_MD_fetch``), no MD5 digest (as under FIPS) or a mismatch leaves no
+kernel, and every run is the Python countdown, with identical values.
+``ctypes`` releases the GIL for the call and each call makes its own
+output buffer, so the kernel is re-entrant.  A handle over any other
+function, a metered or wrapped md5 included, carries no kernel.
 
 Values serialize as lowercase hex, two characters per octet, no prefix.
 Handles are immutable and safe to share; evaluation is pure and re-entrant.
@@ -110,21 +110,13 @@ def evaluate(owf: Owf, v: bytes) -> bytes:
 
 
 def iterate(owf: Owf, v: bytes, m: int) -> bytes:
-    """Apply the one-way function m times; iterate(owf, v, 0) is v itself.
-
-    After the first, checked, application the other m - 1 run in the
-    handle's kernel when there is one and they number at least KERNEL_MIN,
-    as in ``pebbler._fill``.
-    """
+    """Apply the one-way function m times; iterate(owf, v, 0) is v itself."""
     if m < 0:
         raise ValueError("iteration count must be >= 0")
     if m:
         v = evaluate(owf, v)  # the one input check; fn keeps the width after it
-        m -= 1
-        if m >= KERNEL_MIN and owf._kernel is not None:
-            return owf._kernel(v, m)
         fn = owf.fn
-        for _ in range(m):
+        for _ in range(m - 1):
             v = fn(v)
     return v
 
@@ -137,35 +129,27 @@ def _md5_block(x: bytes) -> bytes:
 # ~2 us call, and above ceil(30/2) = 15, the largest budget an optimal round
 # spends at any order the engines take, so no such round reaches a kernel.
 KERNEL_MIN = 32
-_CHUNK = 2**31 - 1  # EVP_BytesToKey's count is a C int; longer runs go in chunks
 
 
-def _load_md5_run() -> Optional[Callable[[bytes, int], bytes]]:
-    """One libcrypto call computing MD5^count(v), 1 <= count <= _CHUNK,
-    through ``EVP_BytesToKey``; None if it cannot be loaded or disagrees
-    with ``_md5_block``."""
+def _load_md5_kernel() -> Optional[Callable[[bytes, int], bytes]]:
+    """One libcrypto call computing MD5^count(v), 1 <= count < 2^31 (a C
+    int; ``_fill`` passes at most 2^(MAX_K-1)), through ``EVP_BytesToKey``;
+    None if it cannot be loaded or disagrees with ``_md5_block``."""
     try:
+        import _hashlib
         import ctypes
-        import ctypes.util
 
-        path = ctypes.util.find_library("crypto")
-        if path is None:
-            return None
-        lib = ctypes.CDLL(path)
+        # symbols resolve through _hashlib's own libcrypto
+        lib = ctypes.CDLL(_hashlib.__file__)
         ptr, text, c_int = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
         lib.EVP_aes_128_ecb.argtypes = []
         lib.EVP_aes_128_ecb.restype = ptr
         bytes_to_key = lib.EVP_BytesToKey
         bytes_to_key.argtypes = [ptr, ptr, text, text, c_int, c_int, text, text]
         bytes_to_key.restype = c_int
-        if hasattr(lib, "EVP_MD_fetch"):
-            lib.EVP_MD_fetch.argtypes = [ptr, text, text]
-            lib.EVP_MD_fetch.restype = ptr
-            md = lib.EVP_MD_fetch(None, b"MD5", None)
-        else:  # OpenSSL 1.1
-            lib.EVP_md5.argtypes = []
-            lib.EVP_md5.restype = ptr
-            md = lib.EVP_md5()
+        lib.EVP_MD_fetch.argtypes = [ptr, text, text]
+        lib.EVP_MD_fetch.restype = ptr
+        md = lib.EVP_MD_fetch(None, b"MD5", None)
         cipher = lib.EVP_aes_128_ecb()
     except (ImportError, OSError, AttributeError):
         return None
@@ -196,19 +180,7 @@ def _load_md5_run() -> Optional[Callable[[bytes, int], bytes]]:
     return run
 
 
-_MD5_RUN = _load_md5_run()
-
-
-def _md5_kernel(v: bytes, n: int) -> bytes:
-    """MD5^n(v) in libcrypto, in calls of at most _CHUNK hashes."""
-    while n:
-        count = min(n, _CHUNK)
-        v = _MD5_RUN(v, count)
-        n -= count
-    return v
-
-
-_MD5_KERNEL = None if _MD5_RUN is None else _md5_kernel
+_MD5_KERNEL = _load_md5_kernel()
 
 
 def _davies_meyer_aes128(x: bytes) -> bytes:
