@@ -38,7 +38,7 @@ are at most ceil(k/2) <= 15 at any order the engines take (k <= 30), so
 round streams, hash counts and timings are those of the Python countdown.
 ``iterate`` stays the plain countdown.  The kernel is loaded and
 self-tested against ``_md5_block`` once, at import, which adds about
-10 ms to ``import chainpebble`` (2-vCPU x86-64 host).  No ``_hashlib``
+4 ms to ``import chainpebble`` (2-vCPU x86-64 host).  No ``_hashlib``
 or ``ctypes``, a missing symbol (as in OpenSSL 1.1, which has no
 ``EVP_MD_fetch``), no MD5 digest (as under FIPS) or a mismatch leaves no
 kernel, and every run is the Python countdown, with identical values.
