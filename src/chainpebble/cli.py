@@ -3,12 +3,14 @@
 Subcommands:
 
 - ``schedule``  print the set-up budgets of one family as comma-separated integers
-- ``trace``     print a full per-round run (round, hashes, storage, output) as CSV or JSONL
+- ``trace``     print a full per-round run (round, hashes, storage, output) as CSV or JSONL;
+                both print as they go, holding no list of budgets or rows
 - ``reverse``   stream the 2^k chain elements as hex lines, newest first, through
                 ``protocol.Prover``: in place when the family has a stepper and k >= 1,
                 on the framework pebbler otherwise
-- ``verify``    run the ``checks`` suite, printing ``ok`` or ``FAIL`` per property
-                and, for a failure, its counterexample (family, k and round)
+- ``verify``    run the ``checks`` suite up to ``--k-max`` (at most 20), printing
+                ``ok`` or ``FAIL`` per property and, for a failure, its
+                counterexample (family, k and round)
 - ``serve``     accept identification sessions on a TCP port; exit 1 with one
                 ``error:`` line when it cannot listen there (port in use,
                 unresolvable host)
@@ -20,7 +22,7 @@ Subcommands:
 The default seed is the md5 digest of the empty string for the md5 function,
 and the function applied to the all-zero block otherwise, so default streams
 are reproducible.  Exit codes: 0 ok, 1 failure, 2 usage error (such as an
-out-of-range ``--k`` or ``--port``).
+out-of-range ``--k``, ``--k-max`` or ``--port``).
 """
 
 import argparse
@@ -29,6 +31,10 @@ import sys
 
 from . import checks, owf, pebbler, protocol, schedule
 from .inplace import MAX_K
+
+# verify's schedule checks list 2^k budgets per family: about 5 s and
+# 70 MiB at k=20, each order doubling both
+VERIFY_K_MAX = 20
 
 
 def default_seed(fn: owf.Owf) -> bytes:
@@ -52,13 +58,17 @@ def _resolve(args) -> tuple[owf.Owf, bytes]:
 
 
 def cmd_schedule(args) -> int:
-    print(",".join(str(t) for t in schedule.make_schedule(args.family, args.k)))
+    sep = ""
+    for t in schedule.budgets(args.family, args.k):  # written as they come: no list
+        sys.stdout.write(f"{sep}{t}")
+        sep = ","
+    print()
     return 0
 
 
 def cmd_trace(args) -> int:
     fn, seed = _resolve(args)
-    rows = pebbler.run_trace(fn, args.family, args.k, seed)
+    rows = pebbler.iter_trace(fn, args.family, args.k, seed)  # written as they come
     render = pebbler.trace_jsonl_lines if args.format == "jsonl" else pebbler.trace_csv_lines
     for line in render(rows):
         print(line)
@@ -122,24 +132,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family(p):
         p.add_argument("--family", choices=schedule.FAMILIES, default="optimal")
 
-    def order(text: str) -> int:  # argparse names it in "invalid order value"
-        k = int(text)
-        if not 0 <= k <= MAX_K:
-            raise argparse.ArgumentTypeError(f"must be in 0..{MAX_K}")
-        return k
-
-    def port(text: str) -> int:  # argparse names it in "invalid port value"
-        number = int(text)
-        if not 0 <= number <= 65535:
-            raise argparse.ArgumentTypeError("must be in 0..65535")
-        return number
+    def upto(name: str, top: int):
+        """An argparse type for an integer in 0..top, named in its "invalid
+        <name> value" error."""
+        def parse(text: str) -> int:
+            number = int(text)
+            if not 0 <= number <= top:
+                raise argparse.ArgumentTypeError(f"must be in 0..{top}")
+            return number
+        parse.__name__ = name
+        return parse
 
     def add_address(p):
         p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=port, default=4040, help="TCP port, 0..65535")
+        p.add_argument("--port", type=upto("port", 65535), default=4040, help="TCP port, 0..65535")
 
     def add_k(p):
-        p.add_argument("--k", type=order, default=4, help=f"chain order, 0..{MAX_K}")
+        p.add_argument("--k", type=upto("order", MAX_K), default=4, help=f"chain order, 0..{MAX_K}")
 
     def add_owf_seed(p):
         p.add_argument("--owf", choices=owf.OWF_NAMES, default="md5")
@@ -165,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_reverse)
 
     p = sub.add_parser("verify", help="run the self-check suite")
-    p.add_argument("--k-max", type=order, default=8, dest="k_max")
+    p.add_argument("--k-max", type=upto("order", VERIFY_K_MAX), default=8, dest="k_max",
+                   help=f"largest order checked, 0..{VERIFY_K_MAX}")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("serve", help="run the identification server")

@@ -8,12 +8,13 @@ index i.  The slot written next by a working pebbler is always the one just
 vacated by the pebblers to its right, which is what makes a fixed array
 suffice.  The optimal stepper keeps each sub-pebbler's frontier as one
 counter per bit, ``rem[i]`` (hashes the order-i pebbler still owes, plus
-one), in an array of k+1 machine words: a working pebbler's counter drops
+one), in an array of k+1 machine words built by one helper, ``_frontier``,
+whether a state is constructed or restored: a working pebbler's counter drops
 by exactly its budget each round, and an emitter resets its own to 2^j for
 the next pebbler of its order.  The counter is handed to the fill loop that
 both engines share, ``pebbler._fill``; set-up is one call of it.  Each
 counter is also a closed form in i and c mod 2^i (``schedule.optimal_remaining``
-states it), which is how ``restore`` rebuilds them in O(k), with no table.
+states it), which is how ``_frontier`` builds them in O(k), with no table.
 
 Two variants share one layout, one set-up and one exhaustion test (the
 base ``_InPlace``) and differ only in their step.  The speed-2 stepper
@@ -30,7 +31,10 @@ so one mask of the countdown picks them out and idle pebblers cost nothing.
 Storage convention: both steppers keep one (k+1)-slot array.  It holds
 k+1 values only at the end of set-up, the extra one being the element the
 free round 2^k emits; from then on slot k stays empty and at most k are
-held, as the framework's ``storage()``.  The steppers do not count their
+held, as the framework's ``storage()``.  A prover's engine waits at round
+2^k, holding those k+1 values, until its first release, which runs the
+free round as an ordinary step.  ``peek()`` reads slot 0, the value the
+next step releases (None once exhausted).  The steppers do not count their
 occupancy: a caller reads it off the slots between steps
 (``len(z) - z.count(None)``), so a round pays only for its hashes, its bit
 walk and its checks.
@@ -38,15 +42,18 @@ walk and its checks.
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
 the countdown each step computes anyway (c <= 0).  Widths are checked at
-the boundaries, not per hash: the seed once at construction and slot
-sizes in ``restore``; one-way function outputs need no check, since
+the boundaries, not per hash: the seed once at construction, on the
+stepper's own ``bytes`` copy of it (an ``int`` or ``str`` seed raises
+``TypeError``), and slot sizes in ``restore``; one-way function outputs need no check, since
 ``owf`` makes every ``owf.fn`` width-exact.  Every value hashed or emitted
 is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The
 steppers hold nothing else either (``__slots__``, no ``__dict__``), apart
-from the optimal stepper's ``rem``, derived from (k, r) and never saved.
+from the optimal stepper's ``rem``, derived from (k, r) and never saved, so
+a state saved at any round, before a prover's first release included,
+restores to every release left.
 The order k is at most 30, checked at construction and in ``restore``,
 because ``save`` stores the round counter (up to 2^(k+1)) in four octets.
 A restored state holds exactly the live state's values: speed-2 blobs
@@ -142,6 +149,7 @@ class _InPlace:
     def __init__(self, owf: Owf, k: int, seed: bytes):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"in-place pebblers need 1 <= k <= {MAX_K}")
+        seed = bytes(memoryview(seed))  # a private copy; an int or str raises TypeError
         if len(seed) != owf.width:
             raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
@@ -153,6 +161,10 @@ class _InPlace:
     @property
     def exhausted(self) -> bool:
         return self.r >= 1 << (self.k + 1)
+
+    def peek(self) -> bytes | None:
+        """The value the next step releases, slot 0; None once exhausted."""
+        return None if self.exhausted else self.z[0]
 
 
 class InPlaceSpeed2(_InPlace):
@@ -192,6 +204,15 @@ class InPlaceSpeed2(_InPlace):
         return out, hashes
 
 
+def _frontier(k: int, r: int) -> array:
+    """The optimal stepper's frontier counters at round r, from the closed
+    form: a set bit i of c = 2^(k+1) - r owes what its c mod 2^i set-up
+    rounds left spend, plus one; a clear bit owes a whole set-up, 2^i."""
+    c = (2 << k) - r
+    return array("I", [optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
+                       for i in range(k + 1)])
+
+
 class InPlaceOptimal(_InPlace):
     """Optimal-schedule pebbler: budgets from the countdown's bit segments,
     parity-rounded per sub-pebbler, spent through the shared fill loop from
@@ -202,7 +223,7 @@ class InPlaceOptimal(_InPlace):
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
         super().__init__(owf, k, seed)
-        self.rem = array("I", [1 << i for i in range(k + 1)])  # nothing owed yet
+        self.rem = _frontier(k, self.r)
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
@@ -313,7 +334,5 @@ def restore(data: bytes, owf: Owf):
         else:
             raise DecodeError("bad presence flag")
     state.z = slots
-    c = (2 << k) - r
-    state.rem = array("I", [optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
-                            for i in range(k + 1)])
+    state.rem = _frontier(k, r)
     return state

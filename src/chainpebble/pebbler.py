@@ -36,14 +36,15 @@ loop), so set-up's whole slots, 2^(k-1) down to 32 hashes, run in C; an
 optimal, speed-2 or speed-1 round spends at most ceil(k/2) <= 15 hashes and
 never reaches it, and without a kernel every share is the Python
 countdown, with identical values.  Widths are
-checked at the boundary, the seed once at construction; one-way function
+checked at the boundary, the seed once at construction, on the engine's own
+``bytes`` copy of it (an ``int`` or ``str`` seed raises ``TypeError``); one-way function
 outputs need no check, since ``owf`` makes every ``owf.fn`` width-exact.
 Every value hashed or emitted is therefore of the function's width.
 """
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .owf import KERNEL_MIN, Owf, WidthError, evaluate
 from .schedule import _checked_rule
@@ -142,12 +143,15 @@ class _Run:
 
 
 class Pebbler:
-    """Single-owner state machine; each step() call runs one round."""
+    """Single-owner state machine; each step() call runs one round, and
+    peek() reads what the next round releases without running it.  It keeps
+    its own ``bytes`` copy of the seed."""
 
     __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "_rule")
 
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes):
         rule = _checked_rule(family, k)
+        seed = bytes(memoryview(seed))  # a private copy; an int or str raises TypeError
         if len(seed) != owf.width:
             raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
@@ -166,6 +170,15 @@ class Pebbler:
     def redundant(self) -> bool:
         """True once the children have taken over all stored values (after round 2^k)."""
         return self.round_no > 1 << self.k
+
+    def peek(self) -> Optional[bytes]:
+        """The value the next round releases, read without stepping: the
+        hand-off run's slot 0 (its seed at order 0); None in set-up rounds
+        and once exhausted."""
+        if not 1 << self.k <= self.round_no <= self.lifetime:
+            return None
+        run = self.children[-1]
+        return run.slots[0] if run.k else run.seed
 
     def step(self) -> RoundResult:
         r = self.round_no
@@ -202,8 +215,7 @@ class Pebbler:
                 raise RuntimeError("exactly one run hands off per round")
             spent = rule(run.k, q)
             if spent:
-                slots = run.slots
-                _fill(owf, run.pin() if slots is None else slots, run.rem, spent)
+                _fill(owf, run.slots or run.pin(), run.rem, spent)
                 run.rem -= spent
                 hashes += spent
         if k:
@@ -226,8 +238,7 @@ class Pebbler:
             return 0
         run = self.children[0]
         n = run.rem - 1
-        z = run.slots
-        _fill(self.owf, run.pin() if z is None else z, run.rem, n)
+        _fill(self.owf, run.slots or run.pin(), run.rem, n)
         run.rem = 1
         run.round_no = self.round_no = 1 << self.k
         return n
@@ -256,18 +267,22 @@ def reverse_oracle(owf: Owf, k: int, seed: bytes) -> list[bytes]:
 
 def run_outputs(owf: Owf, family: str, k: int, seed: bytes) -> list[bytes]:
     """Drive a pebbler through its whole lifetime and collect its outputs."""
-    return [row.output for row in run_trace(owf, family, k, seed) if row.output is not None]
+    return [row.output for row in iter_trace(owf, family, k, seed) if row.output is not None]
 
 
-def run_trace(owf: Owf, family: str, k: int, seed: bytes) -> list[TraceRow]:
-    """Per-round hashes, start-of-round storage, and output for a full run."""
+def iter_trace(owf: Owf, family: str, k: int, seed: bytes) -> Iterator[TraceRow]:
+    """Per-round hashes, start-of-round storage, and output for a full run,
+    one row at a time, so that a caller can write each as it comes."""
     p = Pebbler(owf, family, k, seed)
-    rows = []
     for _ in range(p.lifetime):
         held = p.storage()
         res = p.step()
-        rows.append(TraceRow(res.round, res.hashes, held, res.output))
-    return rows
+        yield TraceRow(res.round, res.hashes, held, res.output)
+
+
+def run_trace(owf: Owf, family: str, k: int, seed: bytes) -> list[TraceRow]:
+    """``iter_trace``'s rows as one list."""
+    return list(iter_trace(owf, family, k, seed))
 
 
 def trace_csv_lines(rows: Iterable[TraceRow]) -> Iterable[str]:

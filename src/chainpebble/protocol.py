@@ -1,7 +1,8 @@
 """Chained one-time identification: release preimages, verify by one hash.
 
 The prover holds a pebbler over a length-2^k chain and releases the chain
-elements one per identification round, newest preimage first.  The verifier
+elements one per identification round, newest preimage first, each by one
+round of the pebbler's own step.  The verifier
 stores a single trusted anchor -- initially the registered endpoint
 f^(2^k)(seed) -- and accepts a candidate exactly when one hash maps it to
 the anchor, then adopts the candidate as the new anchor.  Rejection leaves
@@ -78,9 +79,17 @@ class Prover:
     ceil(k/2) for optimal, k-1 for speed-2).  Exhaustion is the engine's:
     after the 2^k-th release, its step raises ``ExhaustedError`` and
     changes nothing, so ``released`` stays 2^k.
+
+    A Prover holds no chain value of its own: its state is its engine's
+    plus the ``released`` and ``last_hashes`` counters.  Construction sets
+    the engine up to round 2^k, where it holds k+1 values, and registers f
+    of the engine's ``peek()``, the free round's release; every release,
+    the first one included, is one round of the engine's own step, so a
+    state saved from ``pebbler`` before the first release restores to all
+    2^k releases.  The engine keeps its own ``bytes`` copy of the seed.
     """
 
-    __slots__ = ("released", "last_hashes", "pebbler", "_step", "endpoint", "_pending")
+    __slots__ = ("released", "last_hashes", "pebbler", "_step", "endpoint")
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str | None = None):
@@ -95,36 +104,30 @@ class Prover:
             pebbler.finish_setup()  # set-up rounds emit nothing: one fill
             step = Pebbler._round
         elif family in STEPPERS and engine == f"inplace-{family}":
-            cls = STEPPERS[family]
-            pebbler = cls(owf, k, seed)
-            step = cls.step
+            pebbler = STEPPERS[family](owf, k, seed)
+            step = type(pebbler).step
         else:
             raise ValueError(f"engine {engine!r} cannot run family {family!r}; engines: {ENGINES}")
         self.released = 0
         self.last_hashes = 0
         self.pebbler = pebbler
         self._step = step  # the class's function, so no bound method is kept
-        first, _ = step(pebbler)  # free first round: no hashes on any engine
-        self.endpoint = evaluate(owf, first)
-        self._pending: bytes | None = first
+        self.endpoint = evaluate(owf, pebbler.peek())  # f of the free round's release
 
     def next_value(self) -> bytes:
-        """Release the next preimage, running the pebbler's round internally."""
-        if self._pending is not None:
-            value, self.last_hashes = self._pending, 0
-            self._pending = None
-        else:
-            value, self.last_hashes = self._step(self.pebbler)
+        """Release the next preimage: one round of the engine's own step."""
+        value, self.last_hashes = self._step(self.pebbler)
         self.released += 1
         return value
 
 
 class Verifier:
-    """Constant-storage verifier: remembers only the current anchor."""
+    """Constant-storage verifier: remembers only the current anchor, as its
+    own ``bytes`` copy, so a caller's buffer may change afterwards."""
 
     def __init__(self, owf: Owf, endpoint: bytes):
         self.owf = owf
-        self.anchor = endpoint
+        self.anchor = bytes(memoryview(endpoint))  # a private copy, as the engines keep
         self.verified = 0
 
     def check(self, candidate: bytes) -> bool:
@@ -133,7 +136,7 @@ class Verifier:
             return False
         if self.owf.fn(candidate) != self.anchor:
             return False
-        self.anchor = candidate
+        self.anchor = bytes(memoryview(candidate))
         self.verified += 1
         return True
 

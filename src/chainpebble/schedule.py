@@ -3,7 +3,8 @@
 A pebbler of order k reverses a length-2^k chain over 2^(k+1)-1 rounds; a
 schedule fixes how many hashes it spends in each of its 2^k-1 set-up rounds,
 always summing to 2^k-1.  ``budget`` gives one round's budget in O(1), so a
-pebbler need not store its schedule; ``make_schedule`` lists them all.  Both
+pebbler need not store its schedule; ``budgets`` yields them all in turn
+and ``make_schedule`` lists them.  Both
 check their arguments once, then call the family's raw rule in ``RULES``,
 as a pebbler does every round.  Four families are implemented:
 
@@ -19,6 +20,7 @@ exact: a stored 3 means 3/2.  All functions here are pure.
 """
 
 import math
+from typing import Iterator
 
 FAMILIES = ("rushing", "speed1", "speed2", "optimal")
 
@@ -59,10 +61,16 @@ def budget(family: str, k: int, r: int) -> int:
     return rule(k, r)
 
 
-def make_schedule(family: str, k: int) -> list[int]:
-    """Per-round budgets t_1..t_{2^k-1} for the set-up stage of order k."""
+def budgets(family: str, k: int) -> Iterator[int]:
+    """Per-round budgets t_1..t_{2^k-1} for the set-up stage of order k, one
+    at a time; the arguments are checked at the call."""
     rule = _checked_rule(family, k)
-    return [rule(k, r) for r in range(1, 1 << k)]
+    return (rule(k, r) for r in range(1, 1 << k))
+
+
+def make_schedule(family: str, k: int) -> list[int]:
+    """``budgets`` as one list."""
+    return list(budgets(family, k))
 
 
 def unrounded_head(k: int) -> list[int]:

@@ -1,8 +1,11 @@
 """Command-line surface: output formats, self-checks, and the loopback demo."""
 
+import io
 import json
 import socket
+import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -111,6 +114,41 @@ def test_k_guard():
     with pytest.raises(SystemExit) as err:
         cli.main(["schedule", "--k", "31"])
     assert err.value.code == 2
+
+
+def test_verify_k_max_above_20_is_usage_error():
+    # verify's schedule checks list 2^k budgets per family, so it stops at 20
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--k-max", "21"])
+    assert err.value.code == 2
+
+
+class Discard(io.TextIOBase):
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _cli_peak(monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["schedule", "trace"])
+def test_schedule_and_trace_print_as_they_go(monkeypatch, command):
+    # no list of 2^k budgets or 2^(k+1) rows is held before the first byte
+    # (at k=14 those take about 1 and 5 MiB): the peak grows only by the
+    # trace's O(k) frontier, a few hundred bytes an order
+    _cli_peak(monkeypatch, [command, "--k", "8"])  # first-call allocations
+    small = _cli_peak(monkeypatch, [command, "--k", "8"])
+    large = _cli_peak(monkeypatch, [command, "--k", "14"])
+    assert large - small < 8 * 1024, (small, large)
 
 
 def test_unknown_flags_are_usage_errors():

@@ -347,6 +347,26 @@ def test_optimal_counters_match_closed_form(k):
         state.step()
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_fresh_optimal_counters_are_the_restored_ones(k):
+    # one derivation of rem from (k, r), whether built or restored
+    fresh = InPlaceOptimal(MIX, k, SEED)
+    assert fresh.rem == restore(save(fresh), MIX).rem
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_peek_is_the_next_release(cls):
+    # at every round, of a live state and of its save restored; None past the end
+    for k in range(1, 9):
+        state = cls(MIX, k, SEED)
+        while not state.exhausted:
+            resumed = restore(save(state), MIX)
+            want = state.peek()
+            assert want is not None and resumed.peek() == want
+            assert state.step()[0] == want == resumed.step()[0], (k, state.r)
+        assert state.peek() is None and resumed.peek() is None
+
+
 # -- serialization ------------------------------------------------------------
 
 def test_save_layout_sizes():

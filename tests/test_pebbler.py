@@ -274,6 +274,22 @@ def test_trace_serialization():
     assert parsed[3]["output"] == iterate(MIX, SEED, 3).hex()
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_peek_is_the_next_release(family):
+    # None in set-up rounds and once exhausted, else what the round releases;
+    # peeking changes nothing, and a one-fill set-up peeks alike
+    for k in range(9):
+        p = Pebbler(MIX, family, k, SEED)
+        while not p.exhausted:
+            want = p.peek()
+            assert (want is None) == (p.round_no < 1 << k), (k, p.round_no)
+            assert p.peek() == want == p.step().output, (k, p.round_no)
+        assert p.peek() is None
+        filled = Pebbler(MIX, family, k, SEED)
+        filled.finish_setup()
+        assert filled.peek() == iterate(MIX, SEED, (1 << k) - 1)
+
+
 def test_round_without_an_emitter_fails_loudly():
     # a runtime check, not an assert: it must also fire under python -O
     p = Pebbler(MIX, "optimal", 3, SEED)

@@ -293,6 +293,64 @@ def test_framework_prover_setup_costs_only_its_hashes(family, k):
     assert calls[0] == (1 << k) - 1 + 1
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_first_release_is_the_engines_free_round(engine):
+    # a Prover holds no chain value of its own: until the first release its
+    # engine sits at round 2^k holding k+1 values, and that release is the
+    # engine's own step, at no hash cost
+    assert "_pending" not in Prover.__slots__
+    for k in range(0 if engine == "framework" else 1, 9):
+        prover = Prover(MIX, k, SEED, engine)
+        pebbler = prover.pebbler
+        assert prover.endpoint == iterate(MIX, SEED, 1 << k)
+        if isinstance(pebbler, Pebbler):
+            assert (pebbler.round_no, pebbler.storage()) == (1 << k, k + 1)
+        else:
+            assert (pebbler.r, len(pebbler.z) - pebbler.z.count(None)) == (1 << k, k + 1)
+        first = pebbler.peek()
+        assert prover.next_value() == first == iterate(MIX, SEED, (1 << k) - 1)
+        assert (prover.last_hashes, prover.released) == (0, 1)
+
+
+@pytest.mark.parametrize("variant", STEPPERS)
+def test_state_saved_before_the_first_release_restores_every_release(variant):
+    for k in range(1, 11):
+        prover = Prover(MIX, k, SEED, f"inplace-{variant}")
+        resumed = inplace.restore(inplace.save(prover.pebbler), MIX)
+        assert [resumed.step()[0] for _ in range(1 << k)] == reverse_oracle(MIX, k, SEED), k
+        with pytest.raises(ExhaustedError):
+            resumed.step()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("kind", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_engines_keep_a_private_copy_of_the_seed(engine, kind):
+    # mutating the caller's buffer after construction changes nothing: every
+    # release verifies, and the last one is bytes equal to the seed, not the buffer
+    seed = hashlib.md5(b"seed").digest()
+    buffer = kind(seed)
+    prover = Prover(MD5, 3, buffer, engine)
+    buffer[:] = bytes(16)
+    verifier = Verifier(MD5, prover.endpoint)
+    values = [prover.next_value() for _ in range(8)]
+    assert all(verifier.check(v) for v in values)
+    assert values[-1] == seed and type(values[-1]) is bytes
+    for bad in (16, "0123456789abcdef"):  # never zero bytes, never hashed as text
+        with pytest.raises(TypeError):
+            Prover(MD5, 3, bad, engine)
+
+
+def test_verifier_keeps_a_private_copy_of_its_anchor():
+    endpoint, value = bytearray(iterate(MIX, SEED, 2)), bytearray(iterate(MIX, SEED, 1))
+    verifier = Verifier(MIX, endpoint)
+    endpoint[:] = bytes(8)
+    assert verifier.check(value)
+    value[:] = bytes(8)
+    assert verifier.anchor == iterate(MIX, SEED, 1) and type(verifier.anchor) is bytes
+    assert verifier.check(SEED)
+
+
 def test_per_release_hash_counts():
     prover = Prover(MIX, 4, SEED, "inplace-optimal")
     counts = []
