@@ -9,9 +9,9 @@ vacated by the pebblers to its right, which is what makes a fixed array
 suffice.  The optimal stepper keeps each sub-pebbler's frontier as one
 counter per bit, ``rem[i]`` (hashes the order-i pebbler still owes, plus
 one), in an array of k+1 machine words built by one helper, ``_frontier``,
-whether a state is constructed or restored: a working pebbler's counter drops
-by exactly its budget each round, and an emitter resets its own to 2^j for
-the next pebbler of its order.  The counter is handed to the fill loop that
+whether a state is constructed or restored: a working pebbler's counter
+drops by exactly its budget each round, and an emitter resets its own to
+2^j for the next pebbler of its order.  The counter is handed to the fill loop that
 both engines share, ``pebbler._fill``; set-up is one call of it.  Each
 counter is also a closed form in i and c mod 2^i (``schedule.optimal_remaining``
 states it), which is how ``_frontier`` builds them in O(k), with no table.
@@ -44,9 +44,9 @@ and sits where its value enters or is first used.  Exhaustion is read off
 the countdown each step computes anyway (c <= 0).  Widths are checked at
 the boundaries, not per hash: the seed once at construction, on the
 stepper's own ``bytes`` copy of it (an ``int`` or ``str`` seed raises
-``TypeError``), and slot sizes in ``restore``; one-way function outputs need no check, since
-``owf`` makes every ``owf.fn`` width-exact.  Every value hashed or emitted
-is therefore of the function's width.
+``TypeError``), and slot sizes in ``restore``; one-way function outputs
+need no check, since ``owf`` makes every ``owf.fn`` width-exact.  Every
+value hashed or emitted is therefore of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The

@@ -35,11 +35,11 @@ one-way function's kernel when it has one (the built-in md5's libcrypto
 loop), so set-up's whole slots, 2^(k-1) down to 32 hashes, run in C; an
 optimal, speed-2 or speed-1 round spends at most ceil(k/2) <= 15 hashes and
 never reaches it, and without a kernel every share is the Python
-countdown, with identical values.  Widths are
-checked at the boundary, the seed once at construction, on the engine's own
-``bytes`` copy of it (an ``int`` or ``str`` seed raises ``TypeError``); one-way function
-outputs need no check, since ``owf`` makes every ``owf.fn`` width-exact.
-Every value hashed or emitted is therefore of the function's width.
+countdown, with identical values.  Widths are checked at the boundary, the
+seed once at construction, on the engine's own ``bytes`` copy of it (an
+``int`` or ``str`` seed raises ``TypeError``); one-way function outputs
+need no check, since ``owf`` makes every ``owf.fn`` width-exact.  Every
+value hashed or emitted is therefore of the function's width.
 """
 
 import json

@@ -2,12 +2,11 @@
 
 The prover holds a pebbler over a length-2^k chain and releases the chain
 elements one per identification round, newest preimage first, each by one
-round of the pebbler's own step.  The verifier
-stores a single trusted anchor -- initially the registered endpoint
-f^(2^k)(seed) -- and accepts a candidate exactly when one hash maps it to
-the anchor, then adopts the candidate as the new anchor.  Rejection leaves
-the verifier untouched.  A prover that skips ahead is rejected: the check is
-deliberately single-step.
+round of the pebbler's own step.  The verifier stores a single trusted
+anchor -- initially the registered endpoint f^(2^k)(seed) -- and accepts a
+candidate exactly when one hash maps it to the anchor, then adopts the
+candidate as the new anchor.  Rejection leaves the verifier untouched.  A
+prover that skips ahead is rejected: the check is deliberately single-step.
 
 Wire format, one UTF-8 line per message, LF-terminated:
 
