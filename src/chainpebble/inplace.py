@@ -42,11 +42,12 @@ walk and its checks.
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
 the countdown each step computes anyway (c <= 0).  Widths are checked at
-the boundaries, not per hash: the seed once at construction, on the
-stepper's own ``bytes`` copy of it (an ``int`` or ``str`` seed raises
-``TypeError``), and slot sizes in ``restore``; one-way function outputs
-need no check, since ``owf`` makes every ``owf.fn`` width-exact.  Every
-value hashed or emitted is therefore of the function's width.
+the boundaries, not per hash: the seed once at construction, as ``bytes``
+that no caller can change (``owf.as_bytes`` copies any other buffer, and an
+``int`` or ``str`` seed raises ``TypeError``), and slot sizes in
+``restore``; one-way function outputs need no check, since ``owf`` makes
+every ``owf.fn`` width-exact.  Every value hashed or emitted is therefore
+of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else; restoring
 reproduces the remaining output and hash-count streams exactly.  The
@@ -69,7 +70,7 @@ one or descend into an occupied one (both in ``_fill``).
 from array import array
 from dataclasses import dataclass
 
-from .owf import Owf, WidthError
+from .owf import Owf, WidthError, as_bytes
 from .pebbler import DecodeError, ExhaustedError, _fill
 from .schedule import optimal_remaining
 
@@ -149,7 +150,7 @@ class _InPlace:
     def __init__(self, owf: Owf, k: int, seed: bytes):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"in-place pebblers need 1 <= k <= {MAX_K}")
-        seed = bytes(memoryview(seed))  # a private copy; an int or str raises TypeError
+        seed = as_bytes(seed)
         if len(seed) != owf.width:
             raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf

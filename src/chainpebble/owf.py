@@ -102,6 +102,14 @@ class Owf:
         object.__setattr__(self, "fn", checked)
 
 
+def as_bytes(value) -> bytes:
+    """value itself if it is ``bytes``, else a ``bytes`` copy of its buffer,
+    so that a caller's ``bytearray`` may change later; an ``int`` or ``str``
+    raises ``TypeError`` rather than become zero bytes or be hashed as text.
+    The engines take their seed, and the verifier its anchor, through it."""
+    return value if type(value) is bytes else bytes(memoryview(value))
+
+
 def evaluate(owf: Owf, v: bytes) -> bytes:
     """Apply the one-way function once; width in equals width out."""
     if len(v) != owf.width:

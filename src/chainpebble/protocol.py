@@ -56,7 +56,7 @@ import threading
 import time
 
 from .inplace import MAX_K, STEPPERS
-from .owf import Owf, evaluate
+from .owf import Owf, as_bytes, evaluate
 from .pebbler import ExhaustedError, Pebbler
 
 ENGINES = ("framework", *(f"inplace-{variant}" for variant in STEPPERS))
@@ -85,7 +85,8 @@ class Prover:
     of the engine's ``peek()``, the free round's release; every release,
     the first one included, is one round of the engine's own step, so a
     state saved from ``pebbler`` before the first release restores to all
-    2^k releases.  The engine keeps its own ``bytes`` copy of the seed.
+    2^k releases.  The engine holds the seed as ``bytes`` (``owf.as_bytes``),
+    so a caller's buffer may change afterwards.
     """
 
     __slots__ = ("released", "last_hashes", "pebbler", "_step", "endpoint")
@@ -121,12 +122,12 @@ class Prover:
 
 
 class Verifier:
-    """Constant-storage verifier: remembers only the current anchor, as its
-    own ``bytes`` copy, so a caller's buffer may change afterwards."""
+    """Constant-storage verifier: remembers only the current anchor, as
+    ``bytes`` (``owf.as_bytes``), so a caller's buffer may change afterwards."""
 
     def __init__(self, owf: Owf, endpoint: bytes):
         self.owf = owf
-        self.anchor = bytes(memoryview(endpoint))  # a private copy, as the engines keep
+        self.anchor = as_bytes(endpoint)
         self.verified = 0
 
     def check(self, candidate: bytes) -> bool:
@@ -135,7 +136,7 @@ class Verifier:
             return False
         if self.owf.fn(candidate) != self.anchor:
             return False
-        self.anchor = bytes(memoryview(candidate))
+        self.anchor = as_bytes(candidate)
         self.verified += 1
         return True
 
