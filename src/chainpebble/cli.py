@@ -28,11 +28,12 @@ out-of-range ``--k``, ``--k-max`` or ``--port``).
 import argparse
 import hashlib
 import sys
+from itertools import islice
 
 from . import checks, owf, pebbler, protocol, schedule
 from .inplace import MAX_K
 
-# verify's schedule checks list 2^k budgets per family: about 5 s and
+# verify's schedule checks list 2^k budgets per family: about 6 s and
 # 70 MiB at k=20, each order doubling both
 VERIFY_K_MAX = 20
 
@@ -58,9 +59,10 @@ def _resolve(args) -> tuple[owf.Owf, bytes]:
 
 
 def cmd_schedule(args) -> int:
+    budgets = map(str, schedule.budgets(args.family, args.k))
     sep = ""
-    for t in schedule.budgets(args.family, args.k):  # written as they come: no list
-        sys.stdout.write(f"{sep}{t}")
+    while batch := ",".join(islice(budgets, 64)):  # no list of all 2^k - 1
+        sys.stdout.write(sep + batch)
         sep = ","
     print()
     return 0

@@ -4,9 +4,8 @@ A pebbler of order k reverses a length-2^k chain over 2^(k+1)-1 rounds; a
 schedule fixes how many hashes it spends in each of its 2^k-1 set-up rounds,
 always summing to 2^k-1.  ``budget`` gives one round's budget in O(1), so a
 pebbler need not store its schedule; ``budgets`` yields them all in turn
-and ``make_schedule`` lists them.  Both
-check their arguments once, then call the family's raw rule in ``RULES``,
-as a pebbler does every round.  Four families are implemented:
+and ``make_schedule`` lists them.  Each checks its arguments once, then
+calls the family's raw rule in ``RULES``, as a pebbler does every round.  Four families are implemented:
 
 - ``rushing``:  do nothing until the last set-up round, then hash flat out;
 - ``speed1``:   one hash per set-up round;
