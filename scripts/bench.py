@@ -24,6 +24,17 @@ the Python version, CPU and commit from the runs' metadata line, and
 when the script started (``git status --porcelain``; null outside a git
 work tree), since the commit alone does not name what ran.  Any run that
 exits nonzero or reports a failure stops the script.
+
+Given exactly two checkouts, the first the parent and the second the
+change, the output also holds a ``compare`` block: for each workload and
+end-to-end metric, the runs paired by seed and the change's wins and ties
+among them, in the direction BENCHMARK.json's ``better`` gives (a tie
+counts for neither side); ``median_delta``, the change's median less the
+parent's as a fraction of the parent's; ``parent_iqr``, the parent's
+interquartile range as a fraction of its median; and the metric's
+``bound``.  A claimed gain needs nine wins in ten pairs and a
+``median_delta`` beyond ``parent_iqr``; no metric may lose more than its
+bound.
 """
 
 import argparse
@@ -76,6 +87,24 @@ def summarize(values: list[float]) -> dict:
 def layer_medians(runs: list[dict]) -> dict:
     """Each per-layer metric's median over the traced runs' metrics."""
     return {name: statistics.median(run[name] for run in runs) for name in runs[0]}
+
+
+def compare(parent: list[dict], change: list[dict], metric: dict) -> dict:
+    """One end-to-end metric's reading on one workload, from each side's
+    runs ({"seed", "metrics"}) and the metric's BENCHMARK.json entry."""
+    name = metric["name"]
+    sign = 1 if metric["better"] == "higher" else -1
+    base = {r["seed"]: r["metrics"][name] for r in parent}
+    pairs = [(base[r["seed"]], r["metrics"][name]) for r in change if r["seed"] in base]
+    before = summarize(list(base.values()))
+    after = statistics.median(r["metrics"][name] for r in change)
+    return {"pairs": len(pairs),
+            "wins": sum(sign * (new - old) > 0 for old, new in pairs),
+            "ties": sum(new == old for old, new in pairs),
+            "median_delta": (after - before["median"]) / before["median"],
+            "parent_iqr": before["iqr"] / before["median"],
+            "better": metric["better"],
+            "bound": metric["bound"]}
 
 
 def main(argv=None) -> int:
@@ -132,6 +161,12 @@ def main(argv=None) -> int:
                 "runs": runs[label][w],
             }
         out["checkouts"][label] = entry
+    if len(checkouts) == 2:
+        parent, change = checkouts
+        out["compare"] = {"parent": parent, "change": change, "workloads": {
+            w: {m["name"]: compare(runs[parent][w], runs[change][w], m)
+                for m in bench["end_to_end"]}
+            for w in workloads}}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -19,10 +19,13 @@ Subcommands:
                 first other reply, at a lost connection, or at a round past the
                 chain's last, which prints the engine's own "exhausted" error
 
-The default seed is the md5 digest of the empty string for the md5 function,
-and the function applied to the all-zero block otherwise, so default streams
-are reproducible.  Exit codes: 0 ok, 1 failure, 2 usage error (such as an
-out-of-range ``--k``, ``--k-max`` or ``--port``).
+``--seed`` is exactly 2 x width lowercase hex digits, as ``Owf.from_hex``
+reads them.  The default seed is the md5 digest of the empty string for the
+md5 function, and the function applied to the all-zero block otherwise, so
+default streams are reproducible.  ``--k``, ``--k-max`` and ``--port`` are
+ASCII digits.  Exit codes: 0 ok, 1 failure, 2 usage error (such as a seed
+of another form, or an out-of-range or non-ASCII ``--k``, ``--k-max`` or
+``--port``).
 """
 
 import argparse
@@ -46,15 +49,12 @@ def default_seed(fn: owf.Owf) -> bytes:
 
 def _resolve(args) -> tuple[owf.Owf, bytes]:
     fn = owf.builtin(args.owf)
-    if args.seed:
-        try:
-            seed = bytes.fromhex(args.seed)
-        except ValueError:
-            raise SystemExit(f"error: seed is not valid hex: {args.seed!r}")
-        if len(seed) != fn.width:
-            raise SystemExit(f"error: seed must be {fn.width} bytes for {fn.name}")
-    else:
-        seed = default_seed(fn)
+    if not args.seed:
+        return fn, default_seed(fn)
+    seed = fn.from_hex(args.seed)
+    if seed is None:
+        raise SystemExit(f"error: seed must be exactly {2 * fn.width} lowercase hex digits "
+                         f"for {fn.name}, got {args.seed!r}")
     return fn, seed
 
 
@@ -135,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=schedule.FAMILIES, default="optimal")
 
     def upto(name: str, top: int):
-        """An argparse type for an integer in 0..top, named in its "invalid
-        <name> value" error."""
+        """An argparse type for an integer in 0..top written in ASCII digits
+        alone, as ``REGISTER``'s order is (no sign, ``_`` or other script),
+        named in its "invalid <name> value" error."""
         def parse(text: str) -> int:
-            number = int(text)
-            if not 0 <= number <= top:
-                raise argparse.ArgumentTypeError(f"must be in 0..{top}")
-            return number
+            if not (text.isascii() and text.isdigit()) or int(text) > top:
+                raise argparse.ArgumentTypeError(f"must be ASCII digits in 0..{top}")
+            return int(text)
         parse.__name__ = name
         return parse
 
@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_owf_seed(p):
         p.add_argument("--owf", choices=owf.OWF_NAMES, default="md5")
         p.add_argument("--seed", default="",
-                       help="seed as lowercase hex (default: derived from the owf)")
+                       help="seed as exactly 2 x width lowercase hex digits "
+                            "(default: derived from the owf)")
 
     p = sub.add_parser("schedule", help="print set-up budgets")
     add_family(p)

@@ -42,10 +42,9 @@ walk and its checks.
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
 the countdown each step computes anyway (c <= 0).  Widths are checked at
-the boundaries, not per hash: the seed once at construction, as ``bytes``
-that no caller can change (``owf.as_bytes`` copies any other buffer, and an
-``int`` or ``str`` seed raises ``TypeError``), and slot sizes in
-``restore``; one-way function outputs need no check, since ``owf`` makes
+the boundaries, not per hash: the seed once at construction, through
+``Owf.as_value`` (whose docstring states the value rule), and slot sizes
+in ``restore``; one-way function outputs need no check, since ``owf`` makes
 every ``owf.fn`` width-exact.  Every value hashed or emitted is therefore
 of the function's width.
 
@@ -70,7 +69,7 @@ one or descend into an occupied one (both in ``_fill``).
 from array import array
 from dataclasses import dataclass
 
-from .owf import Owf, WidthError, as_bytes
+from .owf import Owf
 from .pebbler import DecodeError, ExhaustedError, _fill
 from .schedule import optimal_remaining
 
@@ -150,12 +149,9 @@ class _InPlace:
     def __init__(self, owf: Owf, k: int, seed: bytes):
         if not 1 <= k <= MAX_K:
             raise ValueError(f"in-place pebblers need 1 <= k <= {MAX_K}")
-        seed = as_bytes(seed)
-        if len(seed) != owf.width:
-            raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
         self.owf = owf
         self.k = k
-        self.z = [None] * k + [seed]
+        self.z = [None] * k + [owf.as_value(seed)]
         _fill(owf, self.z, 1 << k, (1 << k) - 1)  # all k+1 slots occupied
         self.r = 1 << k
 
@@ -210,8 +206,10 @@ def _frontier(k: int, r: int) -> array:
     form: a set bit i of c = 2^(k+1) - r owes what its c mod 2^i set-up
     rounds left spend, plus one; a clear bit owes a whole set-up, 2^i."""
     c = (2 << k) - r
-    return array("I", [optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
-                       for i in range(k + 1)])
+    rem = array("I", [0]) * (k + 1)  # filled in place: no list of k+1 ints
+    for i in range(k + 1):
+        rem[i] = optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
+    return rem
 
 
 class InPlaceOptimal(_InPlace):

@@ -46,7 +46,10 @@ kernel, and every run is the Python countdown, with identical values.
 output buffer, so the kernel is re-entrant.  A handle over any other
 function, a metered or wrapped md5 included, carries no kernel.
 
-Values serialize as lowercase hex, two characters per octet, no prefix.
+A chain value is ``bytes`` of exactly the function's width.  Two methods
+own that rule, for the two forms a value takes from outside:
+``Owf.as_value`` for a buffer and ``Owf.from_hex`` for text; their
+docstrings state it, and every other module takes values through them.
 Handles are immutable and safe to share; evaluation is pure and re-entrant.
 """
 
@@ -101,13 +104,35 @@ class Owf:
 
         object.__setattr__(self, "fn", checked)
 
+    def as_value(self, v) -> bytes:
+        """v as a chain value: ``bytes`` of exactly ``width`` octets.
 
-def as_bytes(value) -> bytes:
-    """value itself if it is ``bytes``, else a ``bytes`` copy of its buffer,
-    so that a caller's ``bytearray`` may change later; an ``int`` or ``str``
-    raises ``TypeError`` rather than become zero bytes or be hashed as text.
-    The engines take their seed, and the verifier its anchor, through it."""
-    return value if type(value) is bytes else bytes(memoryview(value))
+        A ``bytes`` v comes back as is; any other buffer is copied, so a
+        caller's ``bytearray`` may change later.  An ``int`` or ``str``
+        raises ``TypeError`` rather than become zero bytes or be hashed as
+        text, and any other width raises ``WidthError``.  The engines take
+        their seed, and the verifier its anchor and each candidate it
+        accepts, through it.
+        """
+        v = v if type(v) is bytes else bytes(memoryview(v))
+        if len(v) != self.width:
+            raise WidthError(f"{self.name} expects {self.width} bytes, got {len(v)}")
+        return v
+
+    def from_hex(self, text: str) -> Optional[bytes]:
+        """The chain value that text spells, or None if it spells none.
+
+        Text spells a value when it is exactly 2 x ``width`` lowercase hex
+        digits, ``0123456789abcdef``, two to an octet and no prefix, which
+        is how values serialize (``v.hex()``).  Nothing else is accepted:
+        no upper case, no whitespace (which ``bytes.fromhex`` would skip),
+        no other width.  The wire's values and the CLI's ``--seed`` are
+        parsed through it.
+        """
+        # strip leaves nothing exactly when every character is a hex digit
+        if len(text) != 2 * self.width or text.strip("0123456789abcdef"):
+            return None
+        return bytes.fromhex(text)
 
 
 def evaluate(owf: Owf, v: bytes) -> bytes:

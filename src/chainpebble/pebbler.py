@@ -36,9 +36,8 @@ loop), so set-up's whole slots, 2^(k-1) down to 32 hashes, run in C; an
 optimal, speed-2 or speed-1 round spends at most ceil(k/2) <= 15 hashes and
 never reaches it, and without a kernel every share is the Python
 countdown, with identical values.  Widths are checked at the boundary, the
-seed once at construction, as ``bytes`` that no caller can change
-(``owf.as_bytes`` copies any other buffer, and an ``int`` or ``str`` seed
-raises ``TypeError``); one-way function outputs need no check, since
+seed once at construction, through ``Owf.as_value`` (whose docstring states
+the value rule); one-way function outputs need no check, since
 ``owf`` makes every ``owf.fn`` width-exact.  Every value hashed or emitted
 is therefore of the function's width.
 """
@@ -47,7 +46,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .owf import KERNEL_MIN, Owf, WidthError, as_bytes, evaluate
+from .owf import KERNEL_MIN, Owf, evaluate
 from .schedule import _checked_rule
 
 
@@ -145,16 +144,14 @@ class _Run:
 
 class Pebbler:
     """Single-owner state machine; each step() call runs one round, and
-    peek() reads what the next round releases without running it.  It holds
-    the seed as ``bytes`` (``owf.as_bytes``), so no caller can change it."""
+    peek() reads what the next round releases without running it.  It takes
+    the seed through ``Owf.as_value``."""
 
     __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "_rule")
 
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes):
         rule = _checked_rule(family, k)
-        seed = as_bytes(seed)
-        if len(seed) != owf.width:
-            raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(seed)}")
+        seed = owf.as_value(seed)
         self.owf = owf
         self.family = family
         self.k = k

@@ -13,8 +13,8 @@ Wire format, one UTF-8 line per message, LF-terminated:
     client -> server:   REGISTER <k> <hex-endpoint>   then   AUTH <hex-value>
     server -> client:   OK <verified-count> | FAIL | ERR <reason>
 
-Hex is lowercase, two characters per octet, and a value is as wide as the
-one-way function.  FAIL keeps the session open; any ERR closes it.  The ERR
+A value is spelt as ``Owf.from_hex`` reads it (its docstring states the
+rule).  FAIL keeps the session open; any ERR closes it.  The ERR
 reasons:
 
     busy             MAX_SESSIONS sessions run already; no session starts
@@ -56,7 +56,7 @@ import threading
 import time
 
 from .inplace import MAX_K, STEPPERS
-from .owf import Owf, as_bytes, evaluate
+from .owf import Owf, evaluate
 from .pebbler import ExhaustedError, Pebbler
 
 ENGINES = ("framework", *(f"inplace-{variant}" for variant in STEPPERS))
@@ -85,8 +85,7 @@ class Prover:
     of the engine's ``peek()``, the free round's release; every release,
     the first one included, is one round of the engine's own step, so a
     state saved from ``pebbler`` before the first release restores to all
-    2^k releases.  The engine holds the seed as ``bytes`` (``owf.as_bytes``),
-    so a caller's buffer may change afterwards.
+    2^k releases.  The engine takes the seed through ``Owf.as_value``.
     """
 
     __slots__ = ("released", "last_hashes", "pebbler", "_step", "endpoint")
@@ -122,12 +121,12 @@ class Prover:
 
 
 class Verifier:
-    """Constant-storage verifier: remembers only the current anchor, as
-    ``bytes`` (``owf.as_bytes``), so a caller's buffer may change afterwards."""
+    """Constant-storage verifier: remembers only the current anchor, taken,
+    like each candidate it accepts, through ``Owf.as_value``."""
 
     def __init__(self, owf: Owf, endpoint: bytes):
         self.owf = owf
-        self.anchor = as_bytes(endpoint)
+        self.anchor = owf.as_value(endpoint)
         self.verified = 0
 
     def check(self, candidate: bytes) -> bool:
@@ -136,18 +135,9 @@ class Verifier:
             return False
         if self.owf.fn(candidate) != self.anchor:
             return False
-        self.anchor = as_bytes(candidate)
+        self.anchor = self.owf.as_value(candidate)
         self.verified += 1
         return True
-
-
-def _parse_value(text: str, width: int) -> bytes | None:
-    if len(text) != 2 * width or text != text.lower():
-        return None
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        return None
 
 
 class Refusal(Exception):
@@ -171,14 +161,14 @@ def _answer(owf: Owf, verifier: Verifier | None, raw: bytes) -> tuple[str, Verif
         raise Refusal("empty-line")
     command, *args = parts
     if command == "REGISTER":
-        endpoint = _parse_value(args[1], owf.width) if len(args) == 2 else None
+        endpoint = owf.from_hex(args[1]) if len(args) == 2 else None
         if endpoint is None or not _valid_order(args[0]):
             raise Refusal("bad-register")
         return "OK 0", Verifier(owf, endpoint)
     if command == "AUTH":
         if verifier is None:  # before the arguments: an early AUTH is named as such
             raise Refusal("not-registered")
-        candidate = _parse_value(args[0], owf.width) if len(args) == 1 else None
+        candidate = owf.from_hex(args[0]) if len(args) == 1 else None
         if candidate is None:
             raise Refusal("bad-auth")
         return (f"OK {verifier.verified}" if verifier.check(candidate) else "FAIL"), verifier
@@ -281,14 +271,17 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
     1 at the first that is not, at a round past the chain's last, or at a
     reply that ends the session early (EOF, no LF within MAX_LINE bytes,
     idle-timeout, or a socket error), which is reported as ``connection lost``.
+    It dials before it sets up its ``Prover``, so a failed dial costs no
+    hash; the set-up's 2^k - 1 hashes then run while the server waits up to
+    IDLE_TIMEOUT for ``REGISTER``.
     """
-    prover = Prover(owf, k, seed)
     try:
         conn = socket.create_connection((host, port), timeout=IDLE_TIMEOUT)
     except OSError as exc:
         report(f"connection failed: {exc}")
         return 1
     with conn, conn.makefile("rwb") as wire:
+        prover = Prover(owf, k, seed)
 
         def exchange(line: str, want: str, before: str, after: str = "") -> bool:
             """Send line, report its reply between before and after, and tell

@@ -111,6 +111,45 @@ def test_bad_seed_is_usage_error(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("owf, seed", [
+    ("testmix64", "0123456789ABCDEF"),
+    ("testmix64", "01 23 45 67 89 ab cd ef"),
+    ("testmix64", "0123456789abcd  "),
+    ("md5", "D41D8CD98F00B204E9800998ECF8427E"),
+    ("md5", "d41d8cd98f00b204 e9800998ecf8427e"),
+], ids=["upper", "spaced", "short-padded", "md5-upper", "md5-spaced"])
+def test_seed_other_than_lowercase_hex_of_the_width_is_one_error_line(capsys, owf, seed):
+    assert cli.main(["reverse", "--k", "2", "--owf", owf, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--k", "\u0663"],
+    ["schedule", "--k", "+3"],
+    ["schedule", "--k", "3_0"],
+    ["schedule", "--k", " 3"],
+    ["schedule", "--k", "-0"],
+    ["verify", "--k-max", "\u0663"],
+    ["serve", "--port", "4_040"],
+    ["serve", "--port", "+4040"],
+], ids=["arabic-indic", "plus", "underscore", "space", "minus-zero", "k-max", "port-underscore",
+        "port-plus"])
+def test_cli_integers_are_ascii_digits_only(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv)
+    assert err.value.code == 2
+
+
+def test_cli_integers_in_ascii_digits_parse():
+    parse = cli.build_parser().parse_args
+    assert parse(["schedule", "--k", "30"]).k == 30
+    assert parse(["schedule", "--k", "03"]).k == 3
+    assert parse(["verify", "--k-max", "20"]).k_max == 20
+    assert parse(["serve", "--port", "0"]).port == 0
+
+
 def test_k_guard():
     with pytest.raises(SystemExit) as err:
         cli.main(["schedule", "--k", "31"])

@@ -225,6 +225,55 @@ def test_iterate_preserves_width(v):
     assert len(iterate(mix, v, 3)) == 8
 
 
+# -- the value boundary: as_value and from_hex ---------------------------------
+
+
+@pytest.mark.parametrize("name", OWF_NAMES)
+def test_as_value_takes_values_of_the_width_only(name):
+    owf = builtin(name)
+    v = bytes(range(owf.width))
+    assert owf.as_value(v) is v
+    for kind in (bytearray, memoryview):
+        copy = owf.as_value(kind(v))
+        assert copy == v and type(copy) is bytes
+    for bad in (owf.width, v.hex()):  # never zero bytes, never hashed as text
+        with pytest.raises(TypeError):
+            owf.as_value(bad)
+    for wrong in (v[:-1], v + b"\x00", b""):
+        with pytest.raises(WidthError, match=f"{name} expects {owf.width} bytes"):
+            owf.as_value(wrong)
+
+
+def test_from_hex_reads_exactly_lowercase_hex_of_the_width():
+    mix = builtin("testmix64")
+    assert mix.from_hex("0123456789abcdef") == bytes.fromhex("0123456789abcdef")
+    for text in ("0123456789ABCDEF", "0123456789abcdeF", "01 23 45 67 89 ab cd ef",
+                 "0123456789abcd  ", " 0123456789abcde", "0123456789abcd\t\n",
+                 "0123456789abcdeg", "0x0123456789abcd", "0123456789abcd\u0663\u0663",
+                 "0123456789abcdef00", "0123456789abcd", ""):
+        assert mix.from_hex(text) is None, text
+
+
+HEX_LIKE = "0123456789abcdefABCDEF \t\n\x0bxg\u0663"
+
+
+@pytest.mark.parametrize("name", OWF_NAMES)
+@given(data=st.data())
+def test_from_hex_round_trips_and_accepts_only_its_spelling(name, data):
+    owf = builtin(name)
+    v = data.draw(st.binary(min_size=owf.width, max_size=owf.width))
+    assert owf.from_hex(v.hex()) == v
+    n = 2 * owf.width
+    text = data.draw(st.one_of(
+        st.text(HEX_LIKE, min_size=n - 2, max_size=n + 2),
+        st.text("0123456789abcdef", min_size=n, max_size=n),
+        st.builds(lambda t, i, c: t[:i] + c + t[i + 1:],
+                  st.just(v.hex()), st.integers(0, n - 1), st.sampled_from(HEX_LIKE))))
+    b = owf.from_hex(text)
+    if b is not None:
+        assert len(b) == owf.width and type(b) is bytes and b.hex() == text
+
+
 # -- the libcrypto md5 kernel --------------------------------------------------
 
 KERNEL = builtin("md5")._kernel

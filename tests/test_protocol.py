@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainpebble import inplace, protocol
 from chainpebble.inplace import STEPPERS
-from chainpebble.owf import Owf, builtin, evaluate, iterate
+from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import (
     ENGINES,
@@ -351,6 +351,18 @@ def test_verifier_keeps_a_private_copy_of_its_anchor():
     assert verifier.check(SEED)
 
 
+def test_verifier_takes_only_an_anchor_of_the_width():
+    # an anchor of another width could match no candidate: refused at once
+    for wrong in (b"short", bytes(7), bytes(16), b""):
+        with pytest.raises(WidthError):
+            Verifier(MIX, wrong)
+    with pytest.raises(WidthError):
+        Verifier(MD5, b"short")
+    for bad in (8, "0123456789abcdef"):  # never zero bytes, never hashed as text
+        with pytest.raises(TypeError):
+            Verifier(MIX, bad)
+
+
 def test_per_release_hash_counts():
     prover = Prover(MIX, 4, SEED, "inplace-optimal")
     counts = []
@@ -682,6 +694,25 @@ def test_client_connection_failure():
     status = run_client(MIX, 1, SEED, "127.0.0.1", free_port, 1, report=lines.append)
     assert status == 1
     assert "connection failed" in lines[0]
+
+
+def test_client_dials_before_it_sets_up():
+    # a closed port is reported before any hash: the set-up, 2^k - 1 hashes
+    # and one for the endpoint, waits for a connection
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return MIX.fn(v)
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        free_port = probe.getsockname()[1]
+    lines = []
+    status = run_client(Owf(MIX.name, MIX.width, fn), 12, SEED, "127.0.0.1", free_port, 1,
+                        report=lines.append)
+    assert (status, calls[0]) == (1, 0)
+    assert lines[0].startswith("connection failed")
 
 
 def _wait_for_client(conn, reader):

@@ -76,3 +76,30 @@ def test_bench_records_whether_a_checkout_has_uncommitted_changes(tmp_path):
     subprocess.run(git + ["checkout", "-q", "a.txt"], cwd=repo, check=True)
     (repo / "new.txt").write_text("untracked\n")
     assert git_dirty(repo) is True
+
+
+def _runs(values):
+    return [{"seed": seed, "metrics": {"m": v}} for seed, v in enumerate(values, 1)]
+
+
+def test_bench_compares_two_checkouts_pair_by_pair():
+    compare = _bench_module().compare
+    parent = _runs([10.0, 12.0, 11.0, 13.0, 14.0])
+    change = _runs([9.0, 12.0, 10.0, 14.0, 13.0])  # seed 2 ties, seed 4 loses
+    lower = compare(parent, change, {"name": "m", "better": "lower", "bound": 0.25})
+    assert lower == {"pairs": 5, "wins": 3, "ties": 1, "median_delta": (12.0 - 12.0) / 12.0,
+                     "parent_iqr": (13.0 - 11.0) / 12.0, "better": "lower", "bound": 0.25}
+    higher = compare(parent, change, {"name": "m", "better": "higher", "bound": 0.01})
+    assert (higher["wins"], higher["ties"], higher["bound"]) == (1, 1, 0.01)
+    faster = compare(parent, _runs([5.0, 6.0, 5.5, 6.5, 7.0]),
+                     {"name": "m", "better": "higher", "bound": 0.25})
+    assert (faster["wins"], faster["ties"], faster["median_delta"]) == (0, 0, -0.5)
+
+
+def test_bench_pairs_runs_by_seed_not_by_position():
+    compare = _bench_module().compare
+    parent = _runs([1.0, 2.0, 3.0])
+    change = list(reversed(_runs([1.0, 2.0, 4.0])))  # same seeds, listed backwards
+    change.append({"seed": 9, "metrics": {"m": 0.0}})  # no parent run to pair with
+    got = compare(parent, change, {"name": "m", "better": "higher", "bound": 0.25})
+    assert (got["pairs"], got["wins"], got["ties"]) == (3, 1, 2)
