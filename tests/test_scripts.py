@@ -91,9 +91,9 @@ def test_bench_compares_two_checkouts_pair_by_pair():
                      "parent_iqr": (13.0 - 11.0) / 12.0, "better": "lower", "bound": 0.25}
     higher = compare(parent, change, {"name": "m", "better": "higher", "bound": 0.01})
     assert (higher["wins"], higher["ties"], higher["bound"]) == (1, 1, 0.01)
-    faster = compare(parent, _runs([5.0, 6.0, 5.5, 6.5, 7.0]),
-                     {"name": "m", "better": "higher", "bound": 0.25})
-    assert (faster["wins"], faster["ties"], faster["median_delta"]) == (0, 0, -0.5)
+    worse = compare(parent, _runs([5.0, 6.0, 5.5, 6.5, 7.0]),
+                    {"name": "m", "better": "higher", "bound": 0.25})
+    assert (worse["wins"], worse["ties"], worse["median_delta"]) == (0, 0, -0.5)
 
 
 def test_bench_pairs_runs_by_seed_not_by_position():
