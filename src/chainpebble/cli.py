@@ -22,10 +22,10 @@ Subcommands:
 ``--seed`` is exactly 2 x width lowercase hex digits, as ``Owf.from_hex``
 reads them.  The default seed is the md5 digest of the empty string for the
 md5 function, and the function applied to the all-zero block otherwise, so
-default streams are reproducible.  ``--k``, ``--k-max`` and ``--port`` are
-ASCII digits.  Exit codes: 0 ok, 1 failure, 2 usage error (such as a seed
-of another form, or an out-of-range or non-ASCII ``--k``, ``--k-max`` or
-``--port``).
+default streams are reproducible.  Integer options are ASCII digits, as
+``protocol.read_digits`` reads them.  Exit codes: 0 ok, 1 failure, 2 usage
+error (such as a seed of another form, or an out-of-range or non-ASCII
+integer option).
 """
 
 import argparse
@@ -39,6 +39,8 @@ from .inplace import MAX_K
 # verify's schedule checks list 2^k budgets per family: about 6 s and
 # 70 MiB at k=20, each order doubling both
 VERIFY_K_MAX = 20
+# twice the longest chain's releases: room for all of them and a tampered round
+ROUNDS_MAX = 2 << MAX_K
 
 
 def default_seed(fn: owf.Owf) -> bytes:
@@ -135,13 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=schedule.FAMILIES, default="optimal")
 
     def upto(name: str, top: int):
-        """An argparse type for an integer in 0..top written in ASCII digits
-        alone, as ``REGISTER``'s order is (no sign, ``_`` or other script),
-        named in its "invalid <name> value" error."""
+        """An argparse type for an integer in 0..top, read as ``REGISTER``'s
+        order is, named in its "invalid <name> value" error."""
         def parse(text: str) -> int:
-            if not (text.isascii() and text.isdigit()) or int(text) > top:
+            number = protocol.read_digits(text, top)
+            if number is None:
                 raise argparse.ArgumentTypeError(f"must be ASCII digits in 0..{top}")
-            return int(text)
+            return number
         parse.__name__ = name
         return parse
 
@@ -190,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_address(p)
     add_k(p)
     add_owf_seed(p)
-    p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--tamper", type=int, default=None, metavar="ROUND",
+    p.add_argument("--rounds", type=upto("rounds", ROUNDS_MAX), default=1,
+                   help=f"rounds to run, 0..{ROUNDS_MAX}")
+    p.add_argument("--tamper", type=upto("round", ROUNDS_MAX), default=None, metavar="ROUND",
                    help="flip one bit in this round's value before sending")
     p.set_defaults(run=cmd_client)
     return parser

@@ -206,10 +206,8 @@ def _frontier(k: int, r: int) -> array:
     form: a set bit i of c = 2^(k+1) - r owes what its c mod 2^i set-up
     rounds left spend, plus one; a clear bit owes a whole set-up, 2^i."""
     c = (2 << k) - r
-    rem = array("I", [0]) * (k + 1)  # filled in place: no list of k+1 ints
-    for i in range(k + 1):
-        rem[i] = optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
-    return rem
+    return array("I", [optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
+                       for i in range(k + 1)])
 
 
 class InPlaceOptimal(_InPlace):

@@ -144,8 +144,11 @@ class Refusal(Exception):
     """The server refuses a session's next line; the one argument is the ERR reason."""
 
 
-def _valid_order(text: str) -> bool:
-    return text.isascii() and text.isdigit() and int(text) <= MAX_K
+def read_digits(text: str, top: int) -> int | None:
+    """The integer in 0..top that text spells in ASCII digits alone (no sign,
+    ``_``, space or other script), else None; REGISTER's order and the
+    CLI's integers are read through it."""
+    return int(text) if text.isascii() and text.isdigit() and int(text) <= top else None
 
 
 def _answer(owf: Owf, verifier: Verifier | None, raw: bytes) -> tuple[str, Verifier | None]:
@@ -162,7 +165,7 @@ def _answer(owf: Owf, verifier: Verifier | None, raw: bytes) -> tuple[str, Verif
     command, *args = parts
     if command == "REGISTER":
         endpoint = owf.from_hex(args[1]) if len(args) == 2 else None
-        if endpoint is None or not _valid_order(args[0]):
+        if endpoint is None or read_digits(args[0], MAX_K) is None:
             raise Refusal("bad-register")
         return "OK 0", Verifier(owf, endpoint)
     if command == "AUTH":
@@ -271,17 +274,14 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
     1 at the first that is not, at a round past the chain's last, or at a
     reply that ends the session early (EOF, no LF within MAX_LINE bytes,
     idle-timeout, or a socket error), which is reported as ``connection lost``.
-    It dials before it sets up its ``Prover``, so a failed dial costs no
-    hash; the set-up's 2^k - 1 hashes then run while the server waits up to
-    IDLE_TIMEOUT for ``REGISTER``.
     """
+    prover = Prover(owf, k, seed)
     try:
         conn = socket.create_connection((host, port), timeout=IDLE_TIMEOUT)
     except OSError as exc:
         report(f"connection failed: {exc}")
         return 1
     with conn, conn.makefile("rwb") as wire:
-        prover = Prover(owf, k, seed)
 
         def exchange(line: str, want: str, before: str, after: str = "") -> bool:
             """Send line, report its reply between before and after, and tell

@@ -134,8 +134,15 @@ def test_seed_other_than_lowercase_hex_of_the_width_is_one_error_line(capsys, ow
     ["verify", "--k-max", "\u0663"],
     ["serve", "--port", "4_040"],
     ["serve", "--port", "+4040"],
+    ["client", "--rounds", "3_0"],
+    ["client", "--rounds", "-1"],
+    ["client", "--rounds", "+3"],
+    ["client", "--rounds", str((2 << 30) + 1)],
+    ["client", "--tamper", "\u0663"],
+    ["client", "--tamper", "-1"],
 ], ids=["arabic-indic", "plus", "underscore", "space", "minus-zero", "k-max", "port-underscore",
-        "port-plus"])
+        "port-plus", "rounds-underscore", "rounds-minus", "rounds-plus", "rounds-over",
+        "tamper-arabic-indic", "tamper-minus"])
 def test_cli_integers_are_ascii_digits_only(argv):
     with pytest.raises(SystemExit) as err:
         cli.build_parser().parse_args(argv)
@@ -148,6 +155,8 @@ def test_cli_integers_in_ascii_digits_parse():
     assert parse(["schedule", "--k", "03"]).k == 3
     assert parse(["verify", "--k-max", "20"]).k_max == 20
     assert parse(["serve", "--port", "0"]).port == 0
+    assert parse(["client", "--rounds", "0"]).rounds == 0
+    assert parse(["client", "--rounds", str(2 << 30), "--tamper", "5"]).tamper == 5
 
 
 def test_k_guard():

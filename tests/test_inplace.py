@@ -252,31 +252,6 @@ def test_optimal_memory_flat_in_k():
     assert large - small < 1024, (small, large)
 
 
-def _setup_excess(owf, k):
-    """Bytes an optimal construction holds at its peak beyond what the
-    stepper keeps, from the try with the lowest peak of three (a stray
-    allocation elsewhere in the process can land in one)."""
-    tries = []
-    for _ in range(3):
-        tracemalloc.start()
-        try:
-            sto = InPlaceOptimal(owf, k, bytes(owf.width))
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        del sto
-        tries.append((peak, peak - current))
-    return min(tries)[1]
-
-
-def test_optimal_setup_excess_flat_in_k():
-    # the frontier counters are built in place after the set-up fill, while
-    # all k+1 values are live, so a temporary list of them would grow the
-    # set-up's peak with k; md5, whose set-up runs in C, keeps k=20 quick
-    small, large = _setup_excess(MD5, 8), _setup_excess(MD5, 20)
-    assert large - small <= 64, (small, large)
-
-
 def _widening(owf):
     """Same width on paper, but fn returns one byte too many."""
     return Owf(owf.name, owf.width, lambda v: owf.fn(v) + b"\x00")

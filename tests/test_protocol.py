@@ -696,25 +696,6 @@ def test_client_connection_failure():
     assert "connection failed" in lines[0]
 
 
-def test_client_dials_before_it_sets_up():
-    # a closed port is reported before any hash: the set-up, 2^k - 1 hashes
-    # and one for the endpoint, waits for a connection
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return MIX.fn(v)
-
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        free_port = probe.getsockname()[1]
-    lines = []
-    status = run_client(Owf(MIX.name, MIX.width, fn), 12, SEED, "127.0.0.1", free_port, 1,
-                        report=lines.append)
-    assert (status, calls[0]) == (1, 0)
-    assert lines[0].startswith("connection failed")
-
-
 def _wait_for_client(conn, reader):
     """Hold the connection open until the client closes it, at most 2 s."""
     conn.settimeout(2)
