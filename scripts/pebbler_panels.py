@@ -16,7 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))  # run from a checkout without installing
 
-from chainpebble.cli import default_seed  # noqa: E402
+from chainpebble.cli import VERIFY_K_MAX, default_seed, upto  # noqa: E402
+from chainpebble.inplace import MAX_K  # noqa: E402
 from chainpebble.owf import OWF_NAMES, builtin  # noqa: E402
 from chainpebble.pebbler import run_trace  # noqa: E402
 from chainpebble.schedule import FAMILIES  # noqa: E402
@@ -54,9 +55,10 @@ def print_summary(owf, seed, k_max):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k", type=int, default=4, help="panel order (default 4)")
-    parser.add_argument("--k-max", type=int, default=10, dest="k_max",
-                        help="largest order in the summary table")
+    parser.add_argument("--k", type=upto("order", MAX_K), default=4,
+                        help=f"panel order, 0..{MAX_K} (default 4)")
+    parser.add_argument("--k-max", type=upto("order", VERIFY_K_MAX), default=10, dest="k_max",
+                        help=f"largest order in the summary table, 0..{VERIFY_K_MAX}")
     parser.add_argument("--owf", default="testmix64", choices=OWF_NAMES)
     args = parser.parse_args()
     owf = builtin(args.owf)

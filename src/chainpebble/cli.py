@@ -126,6 +126,18 @@ def cmd_client(args) -> int:
     )
 
 
+def upto(name: str, top: int):
+    """An argparse type for an integer in 0..top, read as ``REGISTER``'s
+    order is, named in its "invalid <name> value" error."""
+    def parse(text: str) -> int:
+        number = protocol.read_digits(text, top)
+        if number is None:
+            raise argparse.ArgumentTypeError(f"must be ASCII digits in 0..{top}")
+        return number
+    parse.__name__ = name
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainpebble",
@@ -135,17 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", choices=schedule.FAMILIES, default="optimal")
-
-    def upto(name: str, top: int):
-        """An argparse type for an integer in 0..top, read as ``REGISTER``'s
-        order is, named in its "invalid <name> value" error."""
-        def parse(text: str) -> int:
-            number = protocol.read_digits(text, top)
-            if number is None:
-                raise argparse.ArgumentTypeError(f"must be ASCII digits in 0..{top}")
-            return number
-        parse.__name__ = name
-        return parse
 
     def add_address(p):
         p.add_argument("--host", default="127.0.0.1")

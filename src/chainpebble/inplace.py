@@ -48,22 +48,17 @@ in ``restore``; one-way function outputs need no check, since ``owf`` makes
 every ``owf.fn`` width-exact.  Every value hashed or emitted is therefore
 of the function's width.
 
-A state serializes as (variant, k, r, slots) and nothing else; restoring
-reproduces the remaining output and hash-count streams exactly.  The
-steppers hold nothing else either (``__slots__``, no ``__dict__``), apart
-from the optimal stepper's ``rem``, derived from (k, r) and never saved, so
-a state saved at any round, before a prover's first release included,
-restores to every release left.
-The order k is at most 30, checked at construction and in ``restore``,
+A state serializes as (variant, k, r, slots) and nothing else, in the one
+layout that ``save`` states for both steppers; restoring reproduces the
+remaining output and hash-count streams exactly.  The steppers hold nothing
+else either (``__slots__``, no ``__dict__``), apart from the optimal
+stepper's ``rem``, derived from (k, r) and never saved, so a state saved at
+any round, before a prover's first release included, restores to every
+release left.  The order k is at most 30, checked at construction and in ``restore``,
 because ``save`` stores the round counter (up to 2^(k+1)) in four octets.
-A restored state holds exactly the live state's values: speed-2 blobs
-repeat a value into each empty slot, so ``restore`` empties again every
-slot at or above the bit length of c = 2^(k+1) - r (none at r = 2^k, when
-all k+1 are held), the slots a speed-2 state holds between rounds.
-``restore`` checks the header, the counter's range, the slot area's size
-and the presence flags; a restored optimal state whose flags lie raises
-DecodeError when a step would emit an empty slot (in ``step``), hash from
-one or descend into an occupied one (both in ``_fill``).
+``restore`` refuses with DecodeError any blob whose presence flags are not
+exactly the slots a live state holds at round r (its docstring states the
+rule), so a restored state holds exactly the live state's values.
 """
 
 from array import array
@@ -231,8 +226,6 @@ class InPlaceOptimal(_InPlace):
         low = c & -c  # the emitting sub-pebbler's bit
         j = low.bit_length() - 1
         out = z[0]
-        if out is None:
-            raise DecodeError("emitting an empty slot")
         del z[0]  # the emitter's pinned values shift down to seed its children
         z.insert(j, None)
         rem = self.rem
@@ -270,30 +263,26 @@ def save(state) -> bytes:
     """Serialize (variant, k, r, slots); everything else is recomputable.
 
     Layout: one variant octet, one k octet, four big-endian r octets, then
-    the slots low index first.  Optimal slots carry a presence octet (1
-    present, 0 absent) before the value bytes, absent slots zero-filled.
-    Speed-2 writes k raw slots, as its earlier k-slot layout did, so old
-    blobs still restore: slot 0 is left out at round 2^k (restore rehashes
-    it from slot 1), slot k after it, and an empty slot repeats the nearest
-    value below it, which is what that layout left there (zeros if none).
+    the k+1 slots low index first, each a presence octet (1 present, 0
+    absent) followed by the value, zero-filled when the slot is absent.
+    Both steppers save this one layout.
     """
     head = bytes([state.code, state.k]) + state.r.to_bytes(4, "big")
-    width = state.owf.width
-    parts = []
-    if isinstance(state, InPlaceSpeed2):
-        z = state.z[1:] if state.r == 1 << state.k else state.z[:state.k]
-        last = bytes(width)
-        for v in z:
-            last = last if v is None else v
-            parts.append(last)
-        return head + b"".join(parts)
-    for v in state.z:
-        parts.append(b"\x01" + v if v is not None else b"\x00" + bytes(width))
-    return head + b"".join(parts)
+    absent = bytes(state.owf.width + 1)
+    return head + b"".join(absent if v is None else b"\x01" + v for v in state.z)
 
 
 def restore(data: bytes, owf: Owf):
-    """Rebuild an in-place pebbler from save() output (same owf required)."""
+    """Rebuild an in-place pebbler from save() output (same owf required).
+
+    Raises DecodeError unless the header is valid, r lies in 2^k..2^(k+1),
+    the slot area is k+1 slots of ``owf.width`` values, and the presence
+    flags are exactly the slots a live state holds at round r.  With
+    c = 2^(k+1) - r, speed-2 holds the slots below the bit length of c;
+    optimal holds, for each set bit i of c, the slots bitlen(rem[i]) - 1
+    through i, rem being ``_frontier(k, r)``.  Reads only the width of
+    ``owf`` and never hashes.
+    """
     if len(data) < 6:
         raise DecodeError("truncated header")
     code, k = data[0], data[1]
@@ -305,31 +294,23 @@ def restore(data: bytes, owf: Owf):
         raise DecodeError(f"order must be 1..{MAX_K}")
     if not (1 << k) <= r <= 1 << (k + 1):
         raise DecodeError("round counter out of range")
-    width = owf.width
+    size = owf.width + 1
     body = data[6:]
+    if len(body) != (k + 1) * size:
+        raise DecodeError("slot area has the wrong size")
     state = cls.__new__(cls)
     state.owf, state.k, state.r = owf, k, r
-    if cls is InPlaceSpeed2:
-        if len(body) != k * width:
-            raise DecodeError("slot area has the wrong size")
-        state.z = [bytes(body[s * width:(s + 1) * width]) for s in range(k)]
-        if r == 1 << k:  # the first emission, left out of the blob, is f(slot 0)
-            state.z.insert(0, owf.fn(state.z[0]))
-        else:  # live are the slots below c's bit length, c = 2^(k+1) - r
-            n = ((2 << k) - r).bit_length()
-            state.z[n:] = [None] * (k + 1 - n)
-        return state
-    if len(body) != (k + 1) * (width + 1):
-        raise DecodeError("slot area has the wrong size")
-    slots: list = []
-    for s in range(k + 1):
-        chunk = body[s * (width + 1):(s + 1) * (width + 1)]
-        if chunk[0] == 1:
-            slots.append(bytes(chunk[1:]))
-        elif chunk[0] == 0:
-            slots.append(None)
-        else:
-            raise DecodeError("bad presence flag")
-    state.z = slots
-    state.rem = _frontier(k, r)
+    c = (2 << k) - r
+    if cls is InPlaceOptimal:
+        state.rem = rem = _frontier(k, r)
+        held = 0
+        for i in range(k + 1):
+            if c >> i & 1:
+                held |= (2 << i) - (1 << rem[i].bit_length() - 1)
+    else:
+        held = (1 << c.bit_length()) - 1
+    if body[::size] != bytes(held >> s & 1 for s in range(k + 1)):
+        raise DecodeError("presence flags do not match round r")
+    state.z = [bytes(body[s * size + 1:(s + 1) * size]) if held >> s & 1 else None
+               for s in range(k + 1)]
     return state

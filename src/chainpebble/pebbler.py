@@ -63,7 +63,7 @@ def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
 
     Slot m = bitlen(rem) - 1 is being filled, rem - 2^m hashes short of
     done; completed slots stay pinned.  Slot m must hold a value and each
-    slot started must be empty, else DecodeError (a restored state lied).
+    slot started must be empty, else DecodeError (slots out of step with rem).
     With rem = 2^k and n = 2^k - 1 on [None]*k + [seed] it runs a whole
     set-up.  ``owf.fn`` is width-exact, so outputs need no check here.
     Each slot's share runs as one countdown that stores only its last

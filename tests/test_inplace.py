@@ -282,11 +282,17 @@ def test_inplace_step_rejects_owf_that_changes_width(cls):
             resumed.step()
 
 
-def test_restore_rejects_owf_that_changes_width():
-    # at round 2^k a speed-2 restore recomputes the first emission from slot 0
-    blob = save(InPlaceSpeed2(MD5, 4, bytes(16)))
-    with pytest.raises(WidthError):
-        restore(blob, _widening(MD5))
+def test_restore_makes_no_owf_call():
+    # restore reads only the function's width, at every round of both steppers
+    fn, calls = counting(MIX)
+    for cls in (InPlaceSpeed2, InPlaceOptimal):
+        state = cls(MIX, 5, SEED)
+        while True:
+            restore(save(state), fn)
+            if state.exhausted:
+                break
+            state.step()
+    assert calls[0] == 0
 
 
 def test_inplace_rejects_order_zero():
@@ -306,10 +312,12 @@ def test_inplace_rejects_order_above_30(cls, k):
     assert calls[0] == 0
 
 
-@pytest.mark.parametrize("code,slots,flag", [(2, 31, b""), (3, 32, b"\x01")])
-def test_restore_rejects_order_above_30(code, slots, flag):
-    # a well-formed k=31 blob one round before exhaustion (r = 2^32 - 1)
-    blob = bytes([code, 31]) + (2**32 - 1).to_bytes(4, "big") + (flag + SEED) * slots
+@pytest.mark.parametrize("code", [2, 3])
+def test_restore_rejects_order_above_30(code):
+    # a well-formed k=31 blob one round before exhaustion (r = 2^32 - 1):
+    # 32 flagged slots, of which only slot 0 is held
+    blob = (bytes([code, 31]) + (2**32 - 1).to_bytes(4, "big")
+            + b"\x01" + SEED + bytes(1 + 8) * 31)
     fn, calls = counting(MIX)
     with pytest.raises(DecodeError):
         restore(blob, fn)
@@ -371,7 +379,7 @@ def test_peek_is_the_next_release(cls):
 
 def test_save_layout_sizes():
     st2 = InPlaceSpeed2(MIX, 5, SEED)
-    assert len(save(st2)) == 6 + 5 * 8
+    assert len(save(st2)) == 6 + 6 * (8 + 1)
     sto = InPlaceOptimal(MIX, 5, SEED)
     assert len(save(sto)) == 6 + 6 * (8 + 1)
 
@@ -420,8 +428,8 @@ def test_restore_rejects_malformed():
 
 
 def test_restore_flipped_presence_flag_fails_loudly():
-    # slot 2 is empty at round 45; marking it present makes the next descent
-    # land on an occupied slot, which must raise even under python -O
+    # slot 2 is empty at round 45; a blob marking it present is refused by
+    # restore itself, which must raise even under python -O
     sto = InPlaceOptimal(MIX, 5, bytes(8))
     while sto.r < 45:
         sto.step()
@@ -429,52 +437,45 @@ def test_restore_flipped_presence_flag_fails_loudly():
     flag = 6 + 2 * (8 + 1)  # after the header, a presence octet + 8 bytes per slot
     assert sto.z[2] is None and blob[flag] == 0
     blob[flag] = 1
-    tampered = restore(bytes(blob), MIX)
     with pytest.raises(DecodeError):
-        tampered.step()
+        restore(bytes(blob), MIX)
 
 
 def test_restore_any_flipped_presence_flag_fails_loudly_or_changes_nothing():
-    # every boundary, every slot, both directions (present -> absent and
-    # absent -> present with a zero-filled value): the tampered state must
-    # raise DecodeError or reproduce the clean stream, never emit None or
-    # die with TypeError
+    # both steppers, every boundary (the exhausted one included), every slot,
+    # both directions (present -> absent and absent -> present with a
+    # zero-filled value): restore refuses every tampered blob
     k = 5
-    base = InPlaceOptimal(MIX, k, SEED)
-    blobs = [save(base)]
-    stream = []
-    for _ in range(1 << k):
-        stream.append(base.step())
-        blobs.append(save(base))
-    raised = {0: 0, 1: 0}  # by the flag's original value
-    for at, blob in enumerate(blobs[:-1]):
-        for s in range(k + 1):
-            tampered = bytearray(blob)
-            flag = 6 + s * (MIX.width + 1)
-            was = tampered[flag]
-            tampered[flag] ^= 1
-            st2 = restore(bytes(tampered), MIX)
-            try:
-                remaining = [st2.step() for _ in range((1 << k) - at)]
-            except DecodeError:
-                raised[was] += 1
-                continue
-            assert remaining == stream[at:], (at, s)
-    assert raised[0] and raised[1]
+    for cls in (InPlaceSpeed2, InPlaceOptimal):
+        base = cls(MIX, k, SEED)
+        while True:
+            blob = save(base)
+            for s in range(k + 1):
+                tampered = bytearray(blob)
+                tampered[6 + s * (MIX.width + 1)] ^= 1
+                with pytest.raises(DecodeError):
+                    restore(bytes(tampered), MIX)
+            if base.exhausted:
+                break
+            base.step()
 
 
 @st.composite
 def _restore_blobs(draw):
     """Headers with any in-range r, bodies of the right size with random
-    presence flags (2 is invalid) and values."""
+    values behind either random presence flags (2 is invalid) or the flags
+    of a real save at round r, which restore accepts."""
     code, k = draw(st.sampled_from([2, 3])), draw(st.integers(1, 5))
     r = draw(st.integers(1 << k, 2 << k))
     w = MIX.width
-    if code == 2:
-        body = draw(st.binary(min_size=k * w, max_size=k * w))
+    if draw(st.booleans()):
+        state = (InPlaceSpeed2 if code == 2 else InPlaceOptimal)(MIX, k, SEED)
+        while state.r < r:
+            state.step()
+        flags = save(state)[6::w + 1]
     else:
-        body = b"".join(bytes([draw(st.integers(0, 2))]) + draw(st.binary(min_size=w, max_size=w))
-                        for _ in range(k + 1))
+        flags = [draw(st.integers(0, 2)) for _ in range(k + 1)]
+    body = b"".join(bytes([f]) + draw(st.binary(min_size=w, max_size=w)) for f in flags)
     return bytes([code, k]) + r.to_bytes(4, "big") + body
 
 
@@ -495,15 +496,14 @@ def test_restore_any_bytes_fails_cleanly_or_steps_cleanly(blob):
         pass
 
 
-# save() hex made by the k-slot speed-2 layout this format comes from, at
-# k=5, seed SEED, testmix64, rounds 2^k, 2^k + 11 and 2^(k+1) - 1
+# save() hex at k=5, seed SEED, testmix64, rounds 2^k, 2^k + 11 and 2^(k+1) - 1
 GOLDEN_SAVES = {
-    ("speed2", 32): "0205000000207f6fb990c484111f8f5610a41fb7a48d2f4fa1d427b513db"
-                    "1d6e0cabd8586a950123456789abcdef",
-    ("speed2", 43): "02050000002bc2015eba0c63344e196c007c8eda0b041d6e0cabd8586a95"
-                    "6e51092e36d66ba20123456789abcdef",
-    ("speed2", 63): "02050000003f0123456789abcdef0123456789abcdef0123456789abcdef"
-                    "0123456789abcdef0123456789abcdef",
+    ("speed2", 32): "0205000000200136478ab29412c3f6017f6fb990c484111f018f5610a41f"
+                    "b7a48d012f4fa1d427b513db011d6e0cabd8586a95010123456789abcdef",
+    ("speed2", 43): "02050000002b01c2015eba0c63344e01196c007c8eda0b04011d6e0cabd8"
+                    "586a95016e51092e36d66ba2010123456789abcdef000000000000000000",
+    ("speed2", 63): "02050000003f010123456789abcdef000000000000000000000000000000"
+                    "000000000000000000000000000000000000000000000000000000000000",
     ("optimal", 32): "0305000000200136478ab29412c3f6017f6fb990c484111f018f5610a41f"
                      "b7a48d012f4fa1d427b513db011d6e0cabd8586a95010123456789abcdef",
     ("optimal", 43): "03050000002b01c2015eba0c63344e01930d7460c0d8f840011d6e0cabd8"
@@ -529,6 +529,24 @@ def test_save_format_is_stable(variant, r):
     assert [out for out, _ in rest] == reverse_oracle(MIX, k, SEED)[at:]
     assert [h for _, h in rest] == ([0] + work_sequence(variant, k))[at:]
     assert resumed.exhausted
+
+
+# the same speed-2 states in the retired k-slot layout (k raw values, no
+# presence octets), which restore refuses
+RETIRED_SPEED2_SAVES = {
+    32: "0205000000207f6fb990c484111f8f5610a41fb7a48d2f4fa1d427b513db"
+        "1d6e0cabd8586a950123456789abcdef",
+    43: "02050000002bc2015eba0c63344e196c007c8eda0b041d6e0cabd8586a95"
+        "6e51092e36d66ba20123456789abcdef",
+    63: "02050000003f0123456789abcdef0123456789abcdef0123456789abcdef"
+        "0123456789abcdef0123456789abcdef",
+}
+
+
+@pytest.mark.parametrize("r", list(RETIRED_SPEED2_SAVES))
+def test_restore_refuses_retired_speed2_layout(r):
+    with pytest.raises(DecodeError, match="slot area has the wrong size"):
+        restore(bytes.fromhex(RETIRED_SPEED2_SAVES[r]), MIX)
 
 
 def test_tampered_slot_changes_stream():

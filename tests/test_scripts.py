@@ -23,11 +23,58 @@ def test_pebbler_panels_runs_without_pythonpath(tmp_path):
         assert f"| {family:>16}" in done.stdout
 
 
-def _bench_module():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+def test_pebbler_panels_reads_orders_as_the_cli_does(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "pebbler_panels.py"), "--k", "-1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "must be ASCII digits in 0..30" in done.stderr
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_module():
+    return _script("bench")
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text('''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = """a value,
+    not a docstring"""
+
+    def f(self):
+        """One line."""
+
+        return (1,
+                2)
+''')
+    # import, class, x's two lines, def, return's two lines
+    assert _script("loc").code_lines(module) == 7
+
+
+def test_loc_prints_each_module_and_their_total():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "loc.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    assert {name for name, _ in modules} >= {"inplace", "owf", "pebbler", "protocol"}
+    assert total == ["total", str(sum(int(count) for _, count in modules))]
 
 
 def test_bench_summarizes_runs_by_median_and_quartiles():
