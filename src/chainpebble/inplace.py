@@ -54,8 +54,9 @@ remaining output and hash-count streams exactly.  The steppers hold nothing
 else either (``__slots__``, no ``__dict__``), apart from the optimal
 stepper's ``rem``, derived from (k, r) and never saved, so a state saved at
 any round, before a prover's first release included, restores to every
-release left.  The order k is at most 30, checked at construction and in ``restore``,
-because ``save`` stores the round counter (up to 2^(k+1)) in four octets.
+release left.  The order k is at most 30, checked at construction and in
+``restore``, because ``save`` stores the round counter (up to 2^(k+1)) in
+four octets.
 ``restore`` refuses with DecodeError any blob whose presence flags are not
 exactly the slots a live state holds at round r (its docstring states the
 rule), so a restored state holds exactly the live state's values.
@@ -300,7 +301,7 @@ def restore(data: bytes, owf: Owf):
         raise DecodeError("slot area has the wrong size")
     state = cls.__new__(cls)
     state.owf, state.k, state.r = owf, k, r
-    c = (2 << k) - r
+    c = (2 << k) - r  # bit s of held is set when a live state holds slot s
     if cls is InPlaceOptimal:
         state.rem = rem = _frontier(k, r)
         held = 0
