@@ -31,10 +31,12 @@ end-to-end metric, the runs paired by seed and the change's wins and ties
 among them, in the direction BENCHMARK.json's ``better`` gives (a tie
 counts for neither side); ``median_delta``, the change's median less the
 parent's as a fraction of the parent's; ``parent_iqr``, the parent's
-interquartile range as a fraction of its median; and the metric's
-``bound``.  A claimed gain needs nine wins in ten pairs and a
-``median_delta`` beyond ``parent_iqr``; no metric may lose more than its
-bound.
+interquartile range as a fraction of its median; the metric's ``bound``;
+and ``beyond_bound``, true when the change's median is worse than the
+parent's by more than ``bound`` (as a fraction of the parent's median, in
+the direction ``better`` gives).  A claimed gain needs nine wins in ten
+pairs and a ``median_delta`` beyond ``parent_iqr``; no metric may lose more
+than its bound.
 """
 
 import argparse
@@ -107,6 +109,13 @@ def compare(parent: list[dict], change: list[dict], metric: dict) -> dict:
             "bound": metric["bound"]}
 
 
+def flag_bound(reading: dict) -> dict:
+    """A compare() reading with ``beyond_bound``: whether the change's
+    median is worse than the parent's by more than the metric's bound."""
+    worse = -reading["median_delta"] if reading["better"] == "higher" else reading["median_delta"]
+    return {**reading, "beyond_bound": worse > reading["bound"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
@@ -164,7 +173,7 @@ def main(argv=None) -> int:
     if len(checkouts) == 2:
         parent, change = checkouts
         out["compare"] = {"parent": parent, "change": change, "workloads": {
-            w: {m["name"]: compare(runs[parent][w], runs[change][w], m)
+            w: {m["name"]: flag_bound(compare(runs[parent][w], runs[change][w], m))
                 for m in bench["end_to_end"]}
             for w in workloads}}
     args.out.write_text(json.dumps(out, indent=1) + "\n")

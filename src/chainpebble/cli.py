@@ -6,8 +6,8 @@ Subcommands:
 - ``trace``     print a full per-round run (round, hashes, storage, output) as CSV or JSONL;
                 both print as they go, holding no list of budgets or rows
 - ``reverse``   stream the 2^k chain elements as hex lines, newest first, through
-                ``protocol.Prover``: in place when the family has a stepper and k >= 1,
-                on the framework pebbler otherwise
+                ``protocol.Prover``: in place when the family has a stepper, on the
+                framework pebbler otherwise
 - ``verify``    run the ``checks`` suite up to ``--k-max`` (at most 20), printing
                 ``ok`` or ``FAIL`` per property and, for a failure, its
                 counterexample (family, k and round)

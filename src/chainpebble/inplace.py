@@ -54,12 +54,12 @@ remaining output and hash-count streams exactly.  The steppers hold nothing
 else either (``__slots__``, no ``__dict__``), apart from the optimal
 stepper's ``rem``, derived from (k, r) and never saved, so a state saved at
 any round, before a prover's first release included, restores to every
-release left.  The order k is at most 30, checked at construction and in
-``restore``, because ``save`` stores the round counter (up to 2^(k+1)) in
-four octets.
-``restore`` refuses with DecodeError any blob whose presence flags are not
-exactly the slots a live state holds at round r (its docstring states the
-rule), so a restored state holds exactly the live state's values.
+release left.  The order k lies in 0..``schedule.MAX_K``, the range every
+engine takes, checked at construction by ``schedule.check_order`` and in
+``restore``; at k = 0 the one step is the free round, which releases the
+seed.  ``restore`` accepts exactly the bytes ``save`` writes for the state
+they decode to (its docstring states the rule), so a restored state holds
+exactly the live state's values and saves back to the same blob.
 """
 
 from array import array
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 from .owf import Owf
 from .pebbler import DecodeError, ExhaustedError, _fill
-from .schedule import optimal_remaining
+from .schedule import MAX_K, check_order, optimal_remaining
 
 IDLE = "idle"
 HASHING = "hashing"
@@ -132,9 +132,6 @@ def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
     return [(i, i - j) for i, j in zip(working, working[1:] + [-1])]
 
 
-MAX_K = 30  # save() stores the round counter, up to 2^(k+1), in four octets
-
-
 class _InPlace:
     """k+1 value slots and a round counter.  Construction runs the whole
     set-up as one fill of 2^k - 1 hashes, leaving f^(2^k - 2^i)(seed) in
@@ -143,8 +140,7 @@ class _InPlace:
     __slots__ = ("owf", "k", "z", "r")
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
-        if not 1 <= k <= MAX_K:
-            raise ValueError(f"in-place pebblers need 1 <= k <= {MAX_K}")
+        check_order(k)
         self.owf = owf
         self.k = k
         self.z = [None] * k + [owf.as_value(seed)]
@@ -277,12 +273,13 @@ def restore(data: bytes, owf: Owf):
     """Rebuild an in-place pebbler from save() output (same owf required).
 
     Raises DecodeError unless the header is valid, r lies in 2^k..2^(k+1),
-    the slot area is k+1 slots of ``owf.width`` values, and the presence
-    flags are exactly the slots a live state holds at round r.  With
-    c = 2^(k+1) - r, speed-2 holds the slots below the bit length of c;
-    optimal holds, for each set bit i of c, the slots bitlen(rem[i]) - 1
-    through i, rem being ``_frontier(k, r)``.  Reads only the width of
-    ``owf`` and never hashes.
+    the slot area is k+1 slots of ``owf.width`` values, and the blob is
+    exactly what ``save`` writes for the state it decodes to: the presence
+    flags are the slots a live state holds at round r, and every absent
+    slot is zero-filled.  With c = 2^(k+1) - r, speed-2 holds the slots
+    below the bit length of c; optimal holds, for each set bit i of c, the
+    slots bitlen(rem[i]) - 1 through i, rem being ``_frontier(k, r)``.
+    Reads only the width of ``owf`` and never hashes.
     """
     if len(data) < 6:
         raise DecodeError("truncated header")
@@ -291,8 +288,8 @@ def restore(data: bytes, owf: Owf):
     cls = _BY_CODE.get(code)
     if cls is None:
         raise DecodeError(f"unknown variant code {code}")
-    if not 1 <= k <= MAX_K:
-        raise DecodeError(f"order must be 1..{MAX_K}")
+    if k > MAX_K:
+        raise DecodeError(f"order must be 0..{MAX_K}")
     if not (1 << k) <= r <= 1 << (k + 1):
         raise DecodeError("round counter out of range")
     size = owf.width + 1
@@ -310,8 +307,8 @@ def restore(data: bytes, owf: Owf):
                 held |= (2 << i) - (1 << rem[i].bit_length() - 1)
     else:
         held = (1 << c.bit_length()) - 1
-    if body[::size] != bytes(held >> s & 1 for s in range(k + 1)):
-        raise DecodeError("presence flags do not match round r")
     state.z = [bytes(body[s * size + 1:(s + 1) * size]) if held >> s & 1 else None
                for s in range(k + 1)]
+    if save(state) != data:
+        raise DecodeError("slots do not match round r")
     return state

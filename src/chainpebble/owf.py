@@ -34,7 +34,8 @@ costs about 2-3 us on top of its hashes, so ``pebbler._fill`` hands a run
 to the kernel only when it is at least ``KERNEL_MIN`` = 32 hashes long
 (break-even is about 20).  That covers a set-up's whole slots, 2^(k-1)
 down to 32 hashes, and no optimal, speed-2 or speed-1 round: their budgets
-are at most ceil(k/2) <= 15 at any order the engines take (k <= 30), so
+are at most ceil(k/2) <= 15 at any order the engines take (k <= 30,
+``schedule.MAX_K``, which every engine checks before it hashes), so
 round streams, hash counts and timings are those of the Python countdown.
 ``iterate`` stays the plain countdown.  The kernel is loaded and
 self-tested against ``_md5_block`` once, at import, which adds about
@@ -160,13 +161,15 @@ def _md5_block(x: bytes) -> bytes:
 
 # Shortest run handed to a kernel: above the ~20-hash break-even of its
 # ~2 us call, and above ceil(30/2) = 15, the largest budget an optimal round
-# spends at any order the engines take, so no such round reaches a kernel.
+# spends at any order the engines take (k <= schedule.MAX_K = 30), so no such
+# round reaches a kernel.
 KERNEL_MIN = 32
 
 
 def _load_md5_kernel() -> Optional[Callable[[bytes, int], bytes]]:
     """One libcrypto call computing MD5^count(v), 1 <= count < 2^31 (a C
-    int; ``_fill`` passes at most 2^(MAX_K-1)), through ``EVP_BytesToKey``;
+    int; ``_fill`` passes at most 2^(k-1) <= 2^29, since every engine
+    takes only k <= ``schedule.MAX_K``), through ``EVP_BytesToKey``;
     None if it cannot be loaded or disagrees with ``_md5_block``."""
     try:
         import _hashlib

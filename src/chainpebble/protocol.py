@@ -70,10 +70,11 @@ class Prover:
 
     Any pebbler engine gives byte-identical releases.  ``engine="auto"``
     runs ``family`` in place (``inplace-<family>``) when an in-place stepper
-    exists for it and k >= 1, and on the framework ``Pebbler`` otherwise.
+    exists for it, and on the framework ``Pebbler`` otherwise.
     ``family=None`` means the engine's own family: ``optimal`` for ``auto``
     and ``framework``, ``<v>`` for ``inplace-<v>``, which refuses any other.
-    A bad engine or family raises ``ValueError`` before any hash.
+    A bad engine, family or order raises ``ValueError`` before any hash: the
+    engine refuses an order outside 0..``MAX_K`` (``schedule.check_order``).
     ``last_hashes`` reports the work of the most recent release (at most
     ceil(k/2) for optimal, k-1 for speed-2).  Exhaustion is the engine's:
     after the 2^k-th release, its step raises ``ExhaustedError`` and
@@ -92,12 +93,10 @@ class Prover:
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str | None = None):
-        if not 0 <= k <= MAX_K:  # before any hash: set-up alone costs 2^k - 1
-            raise ValueError(f"order k must be 0..{MAX_K}")
         if family is None:
             family = engine.removeprefix("inplace-") if engine.startswith("inplace-") else "optimal"
         if engine == "auto":
-            engine = f"inplace-{family}" if family in STEPPERS and k >= 1 else "framework"
+            engine = f"inplace-{family}" if family in STEPPERS else "framework"
         if engine == "framework":
             pebbler = Pebbler(owf, family, k, seed)
             pebbler.finish_setup()  # set-up rounds emit nothing: one fill

@@ -4,8 +4,10 @@ A pebbler of order k reverses a length-2^k chain over 2^(k+1)-1 rounds; a
 schedule fixes how many hashes it spends in each of its 2^k-1 set-up rounds,
 always summing to 2^k-1.  ``budget`` gives one round's budget in O(1), so a
 pebbler need not store its schedule; ``budgets`` yields them all in turn
-and ``make_schedule`` lists them.  Each checks its arguments once, then
-calls the family's raw rule in ``RULES``, as a pebbler does every round.  Four families are implemented:
+and ``make_schedule`` lists them.  Each checks its arguments once, the
+order through ``check_order``, the one statement of the orders every engine
+takes (0..``MAX_K``), then calls the family's raw rule in ``RULES``, as a
+pebbler does every round.  Four families are implemented:
 
 - ``rushing``:  do nothing until the last set-up round, then hash flat out;
 - ``speed1``:   one hash per set-up round;
@@ -22,6 +24,14 @@ import math
 from typing import Iterator
 
 FAMILIES = ("rushing", "speed1", "speed2", "optimal")
+
+# The orders every engine takes are 0..MAX_K, refused otherwise before any
+# hash.  Two limits meet at 30: ``inplace.save`` stores the round counter,
+# up to 2^(k+1), in four octets, and ``pebbler._fill`` hands the md5 kernel
+# a share of up to 2^(k-1) hashes as a C int.  Raising MAX_K needs both
+# widened (a save header that sizes the counter by k, and a kernel that
+# splits a share of 2^31 or more).
+MAX_K = 30
 
 
 def _optimal(k: int, r: int) -> int:
@@ -43,10 +53,15 @@ RULES = {
 }
 
 
+def check_order(k: int) -> None:
+    """Refuse, with ValueError, an order k that no engine takes."""
+    if not 0 <= k <= MAX_K:
+        raise ValueError(f"order k must be 0..{MAX_K}")
+
+
 def _checked_rule(family: str, k: int):
     """The family's raw rule, once k and then the family are checked."""
-    if k < 0:
-        raise ValueError("order k must be >= 0")
+    check_order(k)
     if family not in RULES:
         raise ValueError(f"unknown schedule family {family!r}")
     return RULES[family]

@@ -21,7 +21,7 @@ from chainpebble.inplace import (
 )
 from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
-from chainpebble.protocol import Verifier
+from chainpebble.protocol import Prover, Verifier
 from chainpebble.schedule import optimal_remaining, unrounded_optimal, work_sequence
 
 MIX = builtin("testmix64")
@@ -295,11 +295,27 @@ def test_restore_makes_no_owf_call():
     assert calls[0] == 0
 
 
-def test_inplace_rejects_order_zero():
-    with pytest.raises(ValueError):
-        InPlaceSpeed2(MIX, 0, SEED)
-    with pytest.raises(ValueError):
-        InPlaceOptimal(MIX, 0, SEED)
+def test_inplace_order_zero_is_the_free_round_alone():
+    # k = 0: set-up spends nothing and the one step releases the seed for
+    # free; a save before and after it restores to the same stream
+    fn, calls = counting(MIX)
+    for cls in (InPlaceSpeed2, InPlaceOptimal):
+        state = cls(fn, 0, SEED)
+        blobs = [save(state)]
+        assert state.peek() == SEED
+        assert state.step() == (SEED, 0)
+        assert state.peek() is None
+        with pytest.raises(ExhaustedError):
+            state.step()
+        blobs.append(save(state))
+        first, last = (restore(blob, fn) for blob in blobs)
+        assert (first.r, last.r) == (1, 2)
+        assert first.step() == (SEED, 0) and save(first) == blobs[1]
+        for resumed in (first, last):
+            with pytest.raises(ExhaustedError):
+                resumed.step()
+    assert calls[0] == 0
+    assert type(Prover(MIX, 0, SEED).pebbler) is InPlaceOptimal  # auto runs in place
 
 
 @pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
@@ -464,18 +480,23 @@ def test_restore_any_flipped_presence_flag_fails_loudly_or_changes_nothing():
 def _restore_blobs(draw):
     """Headers with any in-range r, bodies of the right size with random
     values behind either random presence flags (2 is invalid) or the flags
-    of a real save at round r, which restore accepts."""
-    code, k = draw(st.sampled_from([2, 3])), draw(st.integers(1, 5))
+    of a real save at round r; or a real save's flags with random held
+    values and zero-filled absent slots, as save writes them, which restore
+    accepts."""
+    code, k = draw(st.sampled_from([2, 3])), draw(st.integers(0, 5))
     r = draw(st.integers(1 << k, 2 << k))
     w = MIX.width
-    if draw(st.booleans()):
+    arm = draw(st.sampled_from(["random flags", "real flags", "as saved"]))
+    if arm == "random flags":
+        flags = [draw(st.integers(0, 2)) for _ in range(k + 1)]
+    else:
         state = (InPlaceSpeed2 if code == 2 else InPlaceOptimal)(MIX, k, SEED)
         while state.r < r:
             state.step()
         flags = save(state)[6::w + 1]
-    else:
-        flags = [draw(st.integers(0, 2)) for _ in range(k + 1)]
-    body = b"".join(bytes([f]) + draw(st.binary(min_size=w, max_size=w)) for f in flags)
+    body = b"".join(bytes([f]) + (bytes(w) if arm == "as saved" and not f
+                                  else draw(st.binary(min_size=w, max_size=w)))
+                    for f in flags)
     return bytes([code, k]) + r.to_bytes(4, "big") + body
 
 
@@ -494,6 +515,31 @@ def test_restore_any_bytes_fails_cleanly_or_steps_cleanly(blob):
             assert len(out) == MIX.width
     except (DecodeError, ExhaustedError):
         pass
+
+
+@settings(deadline=None)
+@given(_restore_blobs() | st.binary(max_size=80))
+def test_every_blob_restore_accepts_saves_back_to_itself(blob):
+    try:
+        state = restore(blob, MIX)
+    except DecodeError:
+        return
+    assert save(state) == blob
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_restore_refuses_a_nonzero_octet_behind_an_absent_flag(cls):
+    # save zero-fills an absent slot, and restore takes only what save writes
+    state = cls(MIX, 5, SEED)
+    while state.r < 45:
+        state.step()
+    blob = bytearray(save(state))
+    s = state.z.index(None)
+    value = 6 + s * (MIX.width + 1) + 1  # the absent slot's first value octet
+    assert blob[value - 1] == blob[value] == 0
+    blob[value] = 1
+    with pytest.raises(DecodeError):
+        restore(bytes(blob), MIX)
 
 
 # save() hex at k=5, seed SEED, testmix64, rounds 2^k, 2^k + 11 and 2^(k+1) - 1

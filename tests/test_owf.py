@@ -299,6 +299,16 @@ def test_md5_kernel_known_answers(n):
     assert KERNEL(EMPTY_DIGEST, n) == expect
 
 
+def test_max_k_fits_the_kernel_count_and_the_save_counter():
+    # at k = MAX_K, _fill's largest set-up share, 2^(k-1), fits the C int
+    # count of EVP_BytesToKey, and save's round counter, up to 2^(k+1),
+    # its four octets
+    from chainpebble.schedule import MAX_K
+
+    assert 1 << (MAX_K - 1) < 1 << 31
+    assert 2 << MAX_K < 1 << 32
+
+
 @pytest.mark.parametrize("kind", [bytearray, memoryview])
 def test_md5_set_up_takes_any_bytes_like_seed(kind):
     from chainpebble import Prover

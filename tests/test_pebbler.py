@@ -20,7 +20,8 @@ from chainpebble.pebbler import (
     trace_csv_lines,
     trace_jsonl_lines,
 )
-from chainpebble.schedule import FAMILIES, work_sequence
+from chainpebble.inplace import STEPPERS
+from chainpebble.schedule import FAMILIES, MAX_K, budget, budgets, work_sequence
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -435,3 +436,27 @@ def test_pebbler_rejects_owf_that_changes_width_in_reversal(family):
     with pytest.raises(WidthError):
         while True:
             p.step()
+
+
+@pytest.mark.parametrize("k", [-1, MAX_K + 1])
+def test_every_engine_takes_orders_0_to_max_k_only(k):
+    # one range, refused before any hash or allocation: from k = 33 a
+    # framework set-up would hand the md5 kernel a share past a C int
+    calls = [0]
+
+    def fn(v):
+        calls[0] += 1
+        return MIX.fn(v)
+
+    owf = Owf(MIX.name, MIX.width, fn)
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
+            Pebbler(owf, family, k, SEED)
+        with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
+            budgets(family, k)
+        with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
+            budget(family, k, 1)
+    for cls in STEPPERS.values():
+        with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
+            cls(owf, k, SEED)
+    assert calls[0] == 0

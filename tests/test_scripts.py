@@ -150,3 +150,21 @@ def test_bench_pairs_runs_by_seed_not_by_position():
     change.append({"seed": 9, "metrics": {"m": 0.0}})  # no parent run to pair with
     got = compare(parent, change, {"name": "m", "better": "higher", "bound": 0.25})
     assert (got["pairs"], got["wins"], got["ties"]) == (3, 1, 2)
+
+
+def test_bench_flags_a_metric_worse_than_its_bound():
+    module = _bench_module()
+
+    def flagged(before, after, better):
+        metric = {"name": "m", "better": better, "bound": 0.25}
+        return module.flag_bound(module.compare(_runs(before), _runs(after), metric))
+
+    parent = [10.0, 10.0, 10.0]
+    assert flagged(parent, [13.0, 13.0, 13.0], "lower")["beyond_bound"] is True  # +30%
+    assert flagged(parent, [11.0, 11.0, 11.0], "lower")["beyond_bound"] is False  # +10%
+    assert flagged(parent, [7.0, 7.0, 7.0], "lower")["beyond_bound"] is False  # falls
+    assert flagged(parent, [7.0, 7.0, 7.0], "higher")["beyond_bound"] is True  # -30%
+    assert flagged(parent, [13.0, 13.0, 13.0], "higher")["beyond_bound"] is False
+    reading = flagged(parent, [13.0, 13.0, 13.0], "lower")
+    assert {k: v for k, v in reading.items() if k != "beyond_bound"} == module.compare(
+        _runs(parent), _runs([13.0, 13.0, 13.0]), {"name": "m", "better": "lower", "bound": 0.25})
