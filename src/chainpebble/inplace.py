@@ -6,15 +6,21 @@ c = 2^(k+1) - r: each set bit i is a live sub-pebbler of order i, its
 progress is c mod 2^(i+1), and its values sit in the slot block that ends at
 index i.  The slot written next by a working pebbler is always the one just
 vacated by the pebblers to its right, which is what makes a fixed array
-suffice.  The optimal stepper keeps each sub-pebbler's frontier as one
-counter per bit, ``rem[i]`` (hashes the order-i pebbler still owes, plus
-one), in an array of k+1 machine words built by one helper, ``_frontier``,
-whether a state is constructed or restored: a working pebbler's counter
-drops by exactly its budget each round, and an emitter resets its own to
-2^j for the next pebbler of its order.  The counter is handed to the fill loop that
-both engines share, ``pebbler._fill``; set-up is one call of it.  Each
-counter is also a closed form in i and c mod 2^i (``schedule.optimal_remaining``
-states it), which is how ``_frontier`` builds them in O(k), with no table.
+suffice.  Each sub-pebbler's frontier is one counter per bit, ``rem[i]``
+(hashes the order-i pebbler still owes, plus one), a closed form in i and
+u = c mod 2^i: the family's remaining set-up sum plus one, that sum being
+``schedule.optimal_remaining`` for the optimal stepper and
+``schedule.speed2_remaining`` for the speed-2 one (each stepper class names
+its own as ``remaining``).  One helper, ``_frontier``, builds the k+1
+counters from (k, r) in O(k), with no table, for both steppers, and the
+slots a state holds are read off them by one presence rule (``restore``
+states it).  Every state, set up from a seed or restored from a blob, is
+built by one method, ``_InPlace._build``, which applies that rule; the
+optimal stepper keeps the counters as an array of k+1 machine words,
+built before set-up's first hash.  There a working pebbler's counter drops
+by exactly its budget each round, and an emitter resets its own to 2^j for
+the next pebbler of its order.  The counter is handed to the fill loop
+that both engines share, ``pebbler._fill``; set-up is one call of it.
 
 Two variants share one layout, one set-up and one exhaustion test (the
 base ``_InPlace``) and differ only in their step.  The speed-2 stepper
@@ -67,7 +73,7 @@ from dataclasses import dataclass
 
 from .owf import Owf
 from .pebbler import DecodeError, ExhaustedError, _fill
-from .schedule import MAX_K, check_order, optimal_remaining
+from .schedule import MAX_K, check_order, optimal_remaining, speed2_remaining
 
 IDLE = "idle"
 HASHING = "hashing"
@@ -132,6 +138,16 @@ def segment_budgets(k: int, c: int) -> list[tuple[int, int]]:
     return [(i, i - j) for i, j in zip(working, working[1:] + [-1])]
 
 
+def _frontier(k: int, r: int, remaining) -> array:
+    """The frontier counters at round r, from the family's remaining sum
+    ``remaining(i, u)``: a set bit i of c = 2^(k+1) - r owes what its
+    u = c mod 2^i set-up rounds left spend, plus one; a clear bit owes a
+    whole set-up, 2^i."""
+    c = (2 << k) - r
+    return array("I", [remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
+                       for i in range(k + 1)])
+
+
 class _InPlace:
     """k+1 value slots and a round counter.  Construction runs the whole
     set-up as one fill of 2^k - 1 hashes, leaving f^(2^k - 2^i)(seed) in
@@ -141,11 +157,26 @@ class _InPlace:
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
         check_order(k)
-        self.owf = owf
-        self.k = k
-        self.z = [None] * k + [owf.as_value(seed)]
+        self._build(owf, k, 1 << k, [None] * k + [owf.as_value(seed)])
         _fill(owf, self.z, 1 << k, (1 << k) - 1)  # all k+1 slots occupied
-        self.r = 1 << k
+
+    def _build(self, owf: Owf, k: int, r: int, slots: list) -> array:
+        """The one builder of a state, set up or restored: the state at round
+        r whose slot list is slots, the k+1 values given, each kept where a
+        live state holds it (``restore`` states the rule; at r = 2^k,
+        set-up's start, every slot) and None elsewhere.  Returns the
+        frontier the rule reads, ``_frontier(k, r, self.remaining)``;
+        hashes nothing."""
+        c = (2 << k) - r
+        rem = _frontier(k, r, self.remaining)
+        held = 0  # bit s is set when a live state holds slot s
+        for i in range(k + 1):
+            if c >> i & 1:
+                held |= (2 << i) - (1 << rem[i].bit_length() - 1)
+        # in place, so the list keeps its exact size (a comprehension's overallocates)
+        slots[:] = [v if held >> s & 1 else None for s, v in enumerate(slots)]
+        self.owf, self.k, self.r, self.z = owf, k, r, slots
+        return rem
 
     @property
     def exhausted(self) -> bool:
@@ -160,6 +191,7 @@ class InPlaceSpeed2(_InPlace):
     """Speed-2 pebbler: its step loop spends each pebbler's two hashes itself."""
 
     code = 2  # save()'s variant octet
+    remaining = staticmethod(speed2_remaining)
     __slots__ = ()
 
     def step(self) -> tuple[bytes, int]:
@@ -193,26 +225,19 @@ class InPlaceSpeed2(_InPlace):
         return out, hashes
 
 
-def _frontier(k: int, r: int) -> array:
-    """The optimal stepper's frontier counters at round r, from the closed
-    form: a set bit i of c = 2^(k+1) - r owes what its c mod 2^i set-up
-    rounds left spend, plus one; a clear bit owes a whole set-up, 2^i."""
-    c = (2 << k) - r
-    return array("I", [optimal_remaining(i, c % (1 << i)) + 1 if c >> i & 1 else 1 << i
-                       for i in range(k + 1)])
-
-
 class InPlaceOptimal(_InPlace):
     """Optimal-schedule pebbler: budgets from the countdown's bit segments,
     parity-rounded per sub-pebbler, spent through the shared fill loop from
     each sub-pebbler's frontier counter."""
 
     code = 3
+    remaining = staticmethod(optimal_remaining)
     __slots__ = ("rem",)
 
-    def __init__(self, owf: Owf, k: int, seed: bytes):
-        super().__init__(owf, k, seed)
-        self.rem = _frontier(k, self.r)
+    def _build(self, owf: Owf, k: int, r: int, slots: list) -> None:
+        """The shared builder, keeping its frontier as ``rem``: at set-up,
+        before the fill's first hash."""
+        self.rem = super()._build(owf, k, r, slots)
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
@@ -276,10 +301,11 @@ def restore(data: bytes, owf: Owf):
     the slot area is k+1 slots of ``owf.width`` values, and the blob is
     exactly what ``save`` writes for the state it decodes to: the presence
     flags are the slots a live state holds at round r, and every absent
-    slot is zero-filled.  With c = 2^(k+1) - r, speed-2 holds the slots
-    below the bit length of c; optimal holds, for each set bit i of c, the
-    slots bitlen(rem[i]) - 1 through i, rem being ``_frontier(k, r)``.
-    Reads only the width of ``owf`` and never hashes.
+    slot is zero-filled.  One presence rule serves both steppers: with
+    c = 2^(k+1) - r, a live state holds, for each set bit i of c, the slots
+    bitlen(rem[i]) - 1 through i, rem being ``_frontier(k, r, remaining)``
+    for the stepper's family sum ``remaining``.  Reads only the width of
+    ``owf`` and never hashes.
     """
     if len(data) < 6:
         raise DecodeError("truncated header")
@@ -297,18 +323,7 @@ def restore(data: bytes, owf: Owf):
     if len(body) != (k + 1) * size:
         raise DecodeError("slot area has the wrong size")
     state = cls.__new__(cls)
-    state.owf, state.k, state.r = owf, k, r
-    c = (2 << k) - r  # bit s of held is set when a live state holds slot s
-    if cls is InPlaceOptimal:
-        state.rem = rem = _frontier(k, r)
-        held = 0
-        for i in range(k + 1):
-            if c >> i & 1:
-                held |= (2 << i) - (1 << rem[i].bit_length() - 1)
-    else:
-        held = (1 << c.bit_length()) - 1
-    state.z = [bytes(body[s * size + 1:(s + 1) * size]) if held >> s & 1 else None
-               for s in range(k + 1)]
+    state._build(owf, k, r, [bytes(body[s * size + 1:(s + 1) * size]) for s in range(k + 1)])
     if save(state) != data:
         raise DecodeError("slots do not match round r")
     return state

@@ -138,8 +138,8 @@ def optimal_remaining(i: int, u: int) -> int:
     two, else i - bitlen(2^bitlen(s) - s).  Summing bit lengths in closed
     form gives, with b = bitlen(u), w = 2^b - u and m = bitlen(w - 1), the
     doubled sum (i+3-b)*2^b + w*(m-i) - 2^m - 2, which parity rounding
-    halves up for even i and down for odd i.  ``inplace.restore`` calls it
-    to rebuild the optimal stepper's frontier counters from (k, r).
+    halves up for even i and down for odd i.  ``inplace._frontier`` calls
+    it to build the optimal stepper's frontier counters from (k, r).
     """
     if u > 1 << i >> 1:
         return (1 << i) - 1  # still idle: the whole set-up is owed
@@ -147,6 +147,17 @@ def optimal_remaining(i: int, u: int) -> int:
     w = (1 << b) - u
     m = (w - 1).bit_length()
     return (((i + 3 - b) << b) + w * (m - i) - (1 << m) - 1 - i % 2) >> 1
+
+
+def speed2_remaining(i: int, u: int) -> int:
+    """Sum of the last u budgets of make_schedule("speed2", i), in O(1).
+
+    The last set-up round spends one hash and the 2^(i-1) - 1 before it two
+    each, so the sum is 0 at u = 0, 2u - 1 for 0 < u <= 2^(i-1), and the
+    whole set-up, 2^i - 1, beyond.  ``inplace._frontier`` calls it, as it
+    calls ``optimal_remaining``, to build the speed-2 stepper's frontier.
+    """
+    return min(2 * u, 1 << i) - 1 if u else 0
 
 
 def parity_round(halves: list[int], k: int) -> list[int]:

@@ -22,7 +22,14 @@ from chainpebble.inplace import (
 from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import Prover, Verifier
-from chainpebble.schedule import optimal_remaining, unrounded_optimal, work_sequence
+from chainpebble.schedule import (
+    MAX_K,
+    RULES,
+    optimal_remaining,
+    speed2_remaining,
+    unrounded_optimal,
+    work_sequence,
+)
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -639,3 +646,63 @@ def test_inplace_reversal_at_k16(cls, family):
         assert _occupied(state) <= k, state.r
     assert out == SEED
     assert hashes == [0] + work_sequence(family, k)
+
+
+# f(x) = x + 1 mod 2^64: from seed 0 every value is its own chain position,
+# so a state's slots can be written down for any round without hashing; not
+# one-way, which pebbling correctness does not need
+POSITION = Owf("position64", 8, lambda v: ((int.from_bytes(v, "big") + 1) % (1 << 64)).to_bytes(8, "big"))
+SUMS = {"optimal": optimal_remaining, "speed2": speed2_remaining}
+PEAK = {"optimal": lambda k: (k + 1) // 2, "speed2": lambda k: k - 1}
+
+
+def closed_form_blob(family, k, r):
+    """save() of the family's stepper at round r, from the closed form alone:
+    each set bit i of c = 2^(k+1) - r is a sub-pebbler whose seed sits at
+    base (c with bits 0..i cleared) and that still owes rem - 1 hashes, rem
+    being the family's sum over its c mod 2^i set-up rounds left, plus one;
+    with m = bitlen(rem) - 1 it holds base + 2^i - 2^j in slots m < j <= i
+    and base + 2^i - rem in slot m."""
+    c = (2 << k) - r
+    slots = [None] * (k + 1)
+    for i in range(k + 1):
+        if c >> i & 1:
+            base = c >> (i + 1) << (i + 1)
+            rem = SUMS[family](i, c % (1 << i)) + 1
+            m = rem.bit_length() - 1
+            for j in range(m + 1, i + 1):
+                slots[j] = base + (1 << i) - (1 << j)
+            slots[m] = base + (1 << i) - rem
+    body = b"".join(bytes(9) if p is None else b"\x01" + p.to_bytes(8, "big") for p in slots)
+    return bytes([STEPPERS[family].code, k]) + r.to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize("family", sorted(STEPPERS))
+def test_closed_form_is_the_stepped_state(family):
+    # every round of every small order, set-up's end and exhaustion included
+    for k in range(9):
+        state = STEPPERS[family](POSITION, k, bytes(8))
+        while True:
+            assert save(state) == closed_form_blob(family, k, state.r), (k, state.r)
+            if state.exhausted:
+                break
+            state.step()
+
+
+@pytest.mark.parametrize("family", sorted(STEPPERS))
+def test_inplace_at_max_order_from_closed_form(family):
+    # restored at rounds sampled across order MAX_K's reversal, each window's
+    # releases, hashes and end state against the closed form; the hashes are
+    # the family's budgets over the live sub-pebblers' set-up rounds, read
+    # from schedule.RULES, which shares no code with the steps
+    k, rule, rng = MAX_K, RULES[family], random.Random(30)
+    for r in sorted(rng.randrange(1 << k, 2 << k) for _ in range(40)):
+        state = restore(closed_form_blob(family, k, r), POSITION)
+        for _ in range(min(300, (2 << k) - r)):
+            c = (2 << k) - state.r
+            out, hashes = state.step()
+            assert out == (c - 1).to_bytes(8, "big"), (r, c)
+            assert hashes == sum(rule(i, (1 << i) - c % (1 << i)) for i in range(k + 1)
+                                 if c >> i & 1 and c % (1 << i)), (r, c)
+            assert hashes <= PEAK[family](k), (r, c)
+        assert save(state) == closed_form_blob(family, k, state.r), r

@@ -15,6 +15,7 @@ from chainpebble.schedule import (
     make_schedule,
     optimal_remaining,
     parity_round,
+    speed2_remaining,
     unrounded_head,
     unrounded_optimal,
     unrounded_tail,
@@ -158,13 +159,17 @@ def test_budget_rejects_unknown_family():
         make_schedule("fibonacci", 0)
 
 
-@pytest.mark.parametrize("i", range(1, 17))
-def test_optimal_remaining_matches_schedule_prefix_sums(i):
+@pytest.mark.parametrize("family,i", [pytest.param("optimal", i, id=str(i)) for i in range(1, 17)]
+                         + [pytest.param("speed2", i, id=f"speed2-{i}") for i in range(11)])
+def test_optimal_remaining_matches_schedule_prefix_sums(family, i):
+    # each family's remaining sum is the sum of its last u budgets, every u;
+    # the optimal cases keep their ids, the order alone
+    remaining = {"optimal": optimal_remaining, "speed2": speed2_remaining}[family]
     n = 1 << i
     done = 0  # prefix sum over the first n - 1 - u rounds
-    for u, t in zip(range(n - 1, -1, -1), [0] + make_schedule("optimal", i)):
+    for u, t in zip(range(n - 1, -1, -1), [0] + make_schedule(family, i)):
         done += t
-        assert optimal_remaining(i, u) == n - 1 - done, (i, u)
+        assert remaining(i, u) == n - 1 - done, (i, u)
 
 
 def test_parity_round_spot_values():
