@@ -24,8 +24,9 @@ reads them.  The default seed is the md5 digest of the empty string for the
 md5 function, and the function applied to the all-zero block otherwise, so
 default streams are reproducible.  Integer options are ASCII digits, as
 ``protocol.read_digits`` reads them.  Exit codes: 0 ok, 1 failure, 2 usage
-error (such as a seed of another form, or an out-of-range or non-ASCII
-integer option).
+error (such as a seed of another form, an out-of-range or non-ASCII
+integer option, or ``--owf davies-meyer-aes128`` where libcrypto's AES-128
+did not load).
 """
 
 import argparse
@@ -49,8 +50,15 @@ def default_seed(fn: owf.Owf) -> bytes:
     return owf.evaluate(fn, bytes(fn.width))
 
 
+def _builtin(name: str) -> owf.Owf:
+    try:
+        return owf.builtin(name)
+    except ValueError as exc:  # a built-in that did not load, such as Davies-Meyer
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _resolve(args) -> tuple[owf.Owf, bytes]:
-    fn = owf.builtin(args.owf)
+    fn = _builtin(args.owf)
     if not args.seed:
         return fn, default_seed(fn)
     seed = fn.from_hex(args.seed)
@@ -102,7 +110,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    fn = owf.builtin(args.owf)
+    fn = _builtin(args.owf)
     try:
         server = protocol.IdentificationServer(fn, args.host, args.port)
     except OSError as exc:  # port in use or privileged, host unresolvable or not local

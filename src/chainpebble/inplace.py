@@ -322,8 +322,10 @@ def restore(data: bytes, owf: Owf):
     body = data[6:]
     if len(body) != (k + 1) * size:
         raise DecodeError("slot area has the wrong size")
+    z = [None] * (k + 1)  # exact size, as a live state's (a comprehension overallocates)
+    z[:] = [bytes(body[s * size + 1:(s + 1) * size]) for s in range(k + 1)]
     state = cls.__new__(cls)
-    state._build(owf, k, r, [bytes(body[s * size + 1:(s + 1) * size]) for s in range(k + 1)])
+    state._build(owf, k, r, z)
     if save(state) != data:
         raise DecodeError("slots do not match round r")
     return state

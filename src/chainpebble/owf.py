@@ -11,7 +11,10 @@ registered:
   interpreter built without ``_md5`` falls back to ``hashlib.md5``.  Both give
   the same digest, so chains and saved states do not depend on which is used;
 - ``davies-meyer-aes128``: f(x) = AES-128 encryption of the all-zero block
-  under key x, one-way under standard block-cipher assumptions;
+  under key x (FIPS-197), one-way under standard block-cipher assumptions.
+  It runs in libcrypto (below), with a fresh cipher context a call, about
+  3 us a hash; a key of any width but 16 octets raises WidthError before
+  the call;
 - ``testmix64``: an 8-byte non-cryptographic mixing permutation, for fast
   exhaustive tests -- pebbling correctness does not depend on one-wayness.
 
@@ -23,13 +26,21 @@ built in a check that raises WidthError on an output of another width.
 Callers therefore check only the inputs they take from outside and call
 ``owf.fn`` unchecked on the values it returned.
 
+Both cryptographic built-ins reach OpenSSL the same way: the library is
+the one CPython's own ``_hashlib`` links, opened once through that
+module's file with ``ctypes`` (no library is searched for by name and no
+process is started), its symbols declared in one table, and the
+``EVP_aes_128_ecb()`` cipher fetched once for both.  Davies-Meyer makes,
+keys, uses and frees an ``EVP_CIPHER_CTX`` in each call; nothing is kept
+per thread, since that saves about 0.6 us a hash and would need a free at
+thread exit.  Every return code is checked, and a failed call raises
+rather than return an unfilled buffer.
+
 Long md5 runs in C: the built-in ``md5`` handle also carries a kernel that
 computes MD5^n(v) inside libcrypto in one ``ctypes`` call, through
 ``EVP_BytesToKey`` (which defines its first output block as HASH^count of
 the data; with no salt and a 16-octet key, no IV, that is exactly MD5^n)
-and the digest ``EVP_MD_fetch`` returns (OpenSSL 3).  The library is the
-one CPython's own ``_hashlib`` links, reached through that module's file:
-no library is searched for by name and no process is started.  A call
+and the digest ``EVP_MD_fetch`` returns (OpenSSL 3).  A call
 costs about 2-3 us on top of its hashes, so ``pebbler._fill`` hands a run
 to the kernel only when it is at least ``KERNEL_MIN`` = 32 hashes long
 (break-even is about 20).  That covers a set-up's whole slots, 2^(k-1)
@@ -37,15 +48,22 @@ down to 32 hashes, and no optimal, speed-2 or speed-1 round: their budgets
 are at most ceil(k/2) <= 15 at any order the engines take (k <= 30,
 ``schedule.MAX_K``, which every engine checks before it hashes), so
 round streams, hash counts and timings are those of the Python countdown.
-``iterate`` stays the plain countdown.  The kernel is loaded and
-self-tested against ``_md5_block`` once, at import, which adds about
-4 ms to ``import chainpebble`` (2-vCPU x86-64 host).  No ``_hashlib``
-or ``ctypes``, a missing symbol (as in OpenSSL 1.1, which has no
-``EVP_MD_fetch``), no MD5 digest (as under FIPS) or a mismatch leaves no
-kernel, and every run is the Python countdown, with identical values.
-``ctypes`` releases the GIL for the call and each call makes its own
-output buffer, so the kernel is re-entrant.  A handle over any other
+``iterate`` stays the plain countdown.  ``ctypes`` releases the GIL for
+a call and each call makes its own output buffer (and Davies-Meyer its
+own context), so both are re-entrant.  A handle over any other
 function, a metered or wrapped md5 included, carries no kernel.
+
+Each is self-tested once, at import: the kernel against ``_md5_block``,
+Davies-Meyer against FIPS-197's zero-key answer and one pinned vector.
+Loading the library and both self-tests take about 5 ms of
+``import chainpebble`` (2-vCPU x86-64 host), and the package imports
+no third-party module.  Each loads from its own symbols.  No MD5 digest
+(OpenSSL 1.1 has no ``EVP_MD_fetch``; FIPS mode has no MD5) or a
+mismatch leaves no kernel, and every md5 run is the Python countdown,
+with identical values.  A missing AES symbol or a failed self-test
+leaves Davies-Meyer unavailable rather than wrong: ``builtin`` then
+raises ValueError for it.  Without ``_hashlib`` or ``ctypes`` neither
+loads; md5 and ``testmix64`` run as ever.
 
 A chain value is ``bytes`` of exactly the function's width.  Two methods
 own that rule, for the two forms a value takes from outside:
@@ -56,8 +74,6 @@ Handles are immutable and safe to share; evaluation is pure and re-entrant.
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 try:
     from _md5 import md5 as _md5
@@ -166,30 +182,45 @@ def _md5_block(x: bytes) -> bytes:
 KERNEL_MIN = 32
 
 
-def _load_md5_kernel() -> Optional[Callable[[bytes, int], bytes]]:
-    """One libcrypto call computing MD5^count(v), 1 <= count < 2^31 (a C
-    int; ``_fill`` passes at most 2^(k-1) <= 2^29, since every engine
-    takes only k <= ``schedule.MAX_K``), through ``EVP_BytesToKey``;
-    None if it cannot be loaded or disagrees with ``_md5_block``."""
+def _load_libcrypto():
+    """The libcrypto that CPython's ``_hashlib`` links, opened once for both
+    built-ins that call it, as (ctypes, lib, cipher): every symbol of the
+    table below that lib has is declared, and cipher is
+    ``EVP_aes_128_ecb()``.  None without ``_hashlib``, ``ctypes`` or that
+    cipher; a missing symbol raises AttributeError where it is used."""
     try:
         import _hashlib
         import ctypes
 
         # symbols resolve through _hashlib's own libcrypto
         lib = ctypes.CDLL(_hashlib.__file__)
-        ptr, text, c_int = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
-        lib.EVP_aes_128_ecb.argtypes = []
-        lib.EVP_aes_128_ecb.restype = ptr
-        bytes_to_key = lib.EVP_BytesToKey
-        bytes_to_key.argtypes = [ptr, ptr, text, text, c_int, c_int, text, text]
-        bytes_to_key.restype = c_int
-        lib.EVP_MD_fetch.argtypes = [ptr, text, text]
-        lib.EVP_MD_fetch.restype = ptr
-        md = lib.EVP_MD_fetch(None, b"MD5", None)
-        cipher = lib.EVP_aes_128_ecb()
-    except (ImportError, OSError, AttributeError):
+    except (ImportError, OSError):
         return None
-    if not md or not cipher:
+    ptr, text, c_int = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+    for name, restype, *argtypes in (
+            ("EVP_aes_128_ecb", ptr),
+            ("EVP_MD_fetch", ptr, ptr, text, text),
+            ("EVP_BytesToKey", c_int, ptr, ptr, text, text, c_int, c_int, text, text),
+            ("EVP_CIPHER_CTX_new", ptr),
+            ("EVP_CIPHER_CTX_free", None, ptr),
+            ("EVP_EncryptInit_ex", c_int, ptr, ptr, ptr, text, text),
+            ("EVP_EncryptUpdate", c_int, ptr, text, ctypes.POINTER(c_int), text, c_int)):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+    cipher = hasattr(lib, "EVP_aes_128_ecb") and lib.EVP_aes_128_ecb()
+    return (ctypes, lib, cipher) if cipher else None
+
+
+def _load_md5_kernel(ctypes, lib, cipher) -> Optional[Callable[[bytes, int], bytes]]:
+    """One libcrypto call computing MD5^count(v), 1 <= count < 2^31 (a C
+    int; ``_fill`` passes at most 2^(k-1) <= 2^29, since every engine
+    takes only k <= ``schedule.MAX_K``), through ``EVP_BytesToKey``;
+    None if it cannot be loaded or disagrees with ``_md5_block``."""
+    # OpenSSL 1.1 has no EVP_MD_fetch, and under FIPS there is no MD5
+    md = hasattr(lib, "EVP_MD_fetch") and lib.EVP_MD_fetch(None, b"MD5", None)
+    bytes_to_key = getattr(lib, "EVP_BytesToKey", None)
+    if not (md and bytes_to_key):
         return None
     # the array type is built here and kept: built in a call, ctypes may
     # build it anew, some 3 KiB, for a later one
@@ -216,12 +247,43 @@ def _load_md5_kernel() -> Optional[Callable[[bytes, int], bytes]]:
     return run
 
 
-_MD5_KERNEL = _load_md5_kernel()
+def _load_davies_meyer(ctypes, lib, cipher) -> Optional[Callable[[bytes], bytes]]:
+    """f(x) = AES-128 of the all-zero block under key x, in libcrypto with
+    a fresh cipher context a call; None if it cannot be loaded or fails
+    its known answers."""
+    block, c_int, byref, zero = ctypes.c_char * 16, ctypes.c_int, ctypes.byref, bytes(16)
+
+    def davies_meyer_aes128(x: bytes) -> bytes:
+        x = x if type(x) is bytes else bytes(memoryview(x))
+        # checked before the call, which reads 16 octets of key and would
+        # run AES-192 or AES-256 on no other width
+        if len(x) != 16:
+            raise WidthError(f"davies-meyer-aes128 expects 16 bytes, got {len(x)}")
+        out, outl = block(), c_int()  # one per call, so concurrent calls share nothing
+        ctx = lib.EVP_CIPHER_CTX_new()
+        try:
+            if not (ctx and lib.EVP_EncryptInit_ex(ctx, cipher, None, x, None) == 1
+                    and lib.EVP_EncryptUpdate(ctx, out, byref(outl), zero, 16) == 1
+                    and outl.value == 16):
+                raise RuntimeError("AES-128 encryption failed in libcrypto")
+        finally:
+            lib.EVP_CIPHER_CTX_free(ctx)  # frees nothing when the context is NULL
+        return out.raw
+
+    # the zero key's answer is FIPS-197's; the other was pinned through the
+    # cryptography package, which computed this function before
+    try:
+        ok = all(davies_meyer_aes128(x).hex() == y for x, y in (
+            (bytes(16), "66e94bd4ef8a2c3b884cfa59ca342b2e"),
+            (bytes(range(16)), "c6a13b37878f5b826f4f8162a1c8d879")))
+    except (AttributeError, RuntimeError):  # a symbol lib lacks, or a failed call
+        return None
+    return davies_meyer_aes128 if ok else None
 
 
-def _davies_meyer_aes128(x: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(x), modes.ECB()).encryptor()
-    return enc.update(b"\x00" * 16) + enc.finalize()
+_LIBCRYPTO = _load_libcrypto()
+_MD5_KERNEL = _LIBCRYPTO and _load_md5_kernel(*_LIBCRYPTO)
+_DAVIES_MEYER = _LIBCRYPTO and _load_davies_meyer(*_LIBCRYPTO)
 
 
 _MASK64 = (1 << 64) - 1
@@ -239,11 +301,12 @@ def _testmix64(x: bytes) -> bytes:
 
 # Each built-in function with the output width it has by construction; a
 # tuple, not a set, so that an unhashable custom fn is still accepted.
-_EXACT = ((_md5_block, 16), (_davies_meyer_aes128, 16), (_testmix64, 8))
+_EXACT = ((_md5_block, 16), (_DAVIES_MEYER, 16), (_testmix64, 8))
 
+# None for a built-in that did not load
 _BUILTINS = {
     "md5": Owf("md5", 16, _md5_block),
-    "davies-meyer-aes128": Owf("davies-meyer-aes128", 16, _davies_meyer_aes128),
+    "davies-meyer-aes128": _DAVIES_MEYER and Owf("davies-meyer-aes128", 16, _DAVIES_MEYER),
     "testmix64": Owf("testmix64", 8, _testmix64),
 }
 
@@ -251,10 +314,16 @@ OWF_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> Owf:
-    """Look up a built-in one-way function by name."""
-    try:
-        return _BUILTINS[name]
-    except KeyError:
+    """Look up a built-in one-way function by name.
+
+    Raises UnknownOwfError for a name that is not registered, and
+    ValueError for ``davies-meyer-aes128`` when libcrypto's AES-128 could
+    not be loaded.
+    """
+    if name not in _BUILTINS:
         raise UnknownOwfError(
-            f"unknown one-way function {name!r}; choose from {', '.join(OWF_NAMES)}"
-        ) from None
+            f"unknown one-way function {name!r}; choose from {', '.join(OWF_NAMES)}")
+    if _BUILTINS[name] is None:
+        raise ValueError(f"{name} is unavailable: libcrypto's AES-128 could not be loaded "
+                         "through _hashlib")
+    return _BUILTINS[name]

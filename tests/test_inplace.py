@@ -1,6 +1,7 @@
 """In-place pebblers: counter decoding, framework equivalence, save and restore."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -432,6 +433,16 @@ def test_restore_holds_exactly_the_saved_values(cls, k):
         if state.exhausted:
             break
         state.step()
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_restored_slot_list_is_the_live_size(cls):
+    # a restored state holds no more memory than the live state it equals
+    state = cls(MD5, 13, bytes(16))
+    for _ in range(2):
+        assert sys.getsizeof(restore(save(state), MD5).z) == sys.getsizeof(state.z)
+        for _ in range(1000):
+            state.step()
 
 
 def test_restore_rejects_malformed():

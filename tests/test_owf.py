@@ -1,8 +1,9 @@
 """One-way function handles: builtins, iteration, and width discipline.
 
 The md5 builtin is checked against an independent compact MD5 written from
-the public algorithm description, so the package's own hashing path never
-vouches for itself.
+the public algorithm description, and Davies-Meyer against an independent
+compact AES-128 written from FIPS-197, so the package's own hashing paths
+never vouch for themselves.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from chainpebble import owf
 from chainpebble.owf import (
     OWF_NAMES,
     Owf,
@@ -59,6 +61,80 @@ def ref_md5(msg: bytes) -> bytes:
             a, d, c, b = d, c, b, (b + _rotl(f, _S[i])) & 0xFFFFFFFF
         state = [(s + v) & 0xFFFFFFFF for s, v in zip(state, (a, b, c, d))]
     return b"".join(x.to_bytes(4, "little") for x in state)
+
+
+# -- independent AES-128 oracle (FIPS-197) --------------------------------------
+
+
+def _xtime(a):
+    """a times x in GF(2^8), modulo x^8 + x^4 + x^3 + x + 1."""
+    return ((a << 1) ^ 0x11B) if a & 0x80 else a << 1
+
+
+def _gmul(a, b):
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        a, b = _xtime(a), b >> 1
+    return p
+
+
+def _make_sbox():
+    # FIPS-197 5.1.1: the multiplicative inverse (0 for 0), then the affine
+    # map b ^ rotl(b, 1) ^ rotl(b, 2) ^ rotl(b, 3) ^ rotl(b, 4) ^ 0x63
+    powers = [1]
+    for _ in range(254):
+        powers.append(_gmul(powers[-1], 3))  # 3 generates the nonzero field
+    log = {v: i for i, v in enumerate(powers)}
+    box = []
+    for a in range(256):
+        b = powers[-log[a] % 255] if a else 0
+        rot = [(b << n | b >> (8 - n)) & 0xFF for n in range(5)]
+        box.append(rot[0] ^ rot[1] ^ rot[2] ^ rot[3] ^ rot[4] ^ 0x63)
+    return box
+
+
+_SBOX = _make_sbox()
+
+
+def ref_aes128(key: bytes, block: bytes) -> bytes:
+    """AES-128 encryption of one block; byte i of the state is row i % 4 of
+    column i // 4, as FIPS-197 3.4 maps the input."""
+    keys, rcon = [list(key)], 1
+    for _ in range(10):  # 5.2: each round key from the previous one
+        prev = keys[-1]
+        t = [_SBOX[b] for b in prev[13:16] + prev[12:13]]
+        t[0] ^= rcon
+        rcon = _xtime(rcon)
+        words = []
+        for w in range(4):
+            t = [a ^ b for a, b in zip(prev[4 * w:4 * w + 4], t)]
+            words += t
+        keys.append(words)
+    s = [a ^ b for a, b in zip(block, keys[0])]
+    for rnd in range(1, 11):
+        s = [_SBOX[b] for b in s]
+        s = [s[r + 4 * ((c + r) % 4)] for c in range(4) for r in range(4)]  # ShiftRows
+        if rnd < 10:  # MixColumns, every round but the last
+            mixed = []
+            for c in range(4):
+                a = s[4 * c:4 * c + 4]
+                mixed += [_gmul(a[r], 2) ^ _gmul(a[(r + 1) % 4], 3) ^ a[(r + 2) % 4] ^ a[(r + 3) % 4]
+                          for r in range(4)]
+            s = mixed
+        s = [a ^ b for a, b in zip(s, keys[rnd])]
+    return bytes(s)
+
+
+@pytest.mark.parametrize("key, plain, cipher", [
+    ("2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+     "3925841d02dc09fbdc118597196a0b32"),  # FIPS-197 Appendix B
+    ("000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+     "69c4e0d86a7b0430d8cdb78070b4c55a"),  # FIPS-197 Appendix C.1
+], ids=["appendix-b", "appendix-c1"])
+def test_aes_oracle_matches_fips_197(key, plain, cipher):
+    assert ref_aes128(bytes.fromhex(key), bytes.fromhex(plain)).hex() == cipher
 
 
 # frozen via ref_md5: md5 of the 16-byte digest of the empty string
@@ -121,6 +197,11 @@ def test_davies_meyer_zero_vector():
     dm = builtin("davies-meyer-aes128")
     assert dm.width == 16
     assert evaluate(dm, bytes(16)) == AES_ZERO_VECTOR
+
+
+@given(st.binary(min_size=16, max_size=16))
+def test_davies_meyer_is_aes_of_the_zero_block(key):
+    assert builtin("davies-meyer-aes128").fn(key) == ref_aes128(key, bytes(16))
 
 
 def test_testmix64_declared_width():
@@ -408,3 +489,156 @@ def test_md5_provers_built_in_threads_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert endpoints == [[expect] * 4] * 8
+
+
+# -- Davies-Meyer through libcrypto ---------------------------------------------
+
+DM = builtin("davies-meyer-aes128")
+
+
+def test_davies_meyer_pinned_outputs_without_cryptography():
+    # pinned when the cryptography package computed this function: chains
+    # and saved states must not change now that it is gone
+    lines = _probe(
+        "import contextlib, hashlib, io, sys\n"
+        "sys.modules['cryptography'] = None\n"
+        "from chainpebble import Prover, builtin, cli, evaluate, iterate\n"
+        "dm = builtin('davies-meyer-aes128')\n"
+        "print(evaluate(dm, bytes(16)).hex(), evaluate(dm, bytes(range(16))).hex(),\n"
+        "      evaluate(dm, b'\\xff' * 16).hex(), iterate(dm, bytes(16), 1000).hex())\n"
+        "print(*(Prover(dm, 8, cli.default_seed(dm), e).endpoint.hex() for e in ('auto', 'framework')))\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    status = cli.main(['reverse', '--owf', 'davies-meyer-aes128', '--k', '10'])\n"
+        "print(status, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    assert [line.split() for line in lines] == [
+        ["66e94bd4ef8a2c3b884cfa59ca342b2e", "c6a13b37878f5b826f4f8162a1c8d879",
+         "a1f6258c877d5fcd8964484538bfc92c", "bd6b0c2cfa60b742e8fc8595a146739a"],
+        ["b5a057b2c38ebeb099348701e9660b29"] * 2,
+        ["0", "fa115ac3ca9b1234fb314a70818b6333df7016d8ff238830296efac945626908"],
+    ]
+
+
+@pytest.mark.parametrize("width", [0, 8, 15, 17, 24, 32])
+def test_davies_meyer_takes_16_octet_keys_only(width):
+    # a short key would be read past its end, and 24 or 32 octets would
+    # select AES-192 or AES-256
+    for call in (DM.fn, lambda v: evaluate(DM, v)):
+        with pytest.raises(WidthError, match="expects 16 bytes"):
+            call(bytes(width))
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+def test_davies_meyer_takes_any_bytes_like_key(kind):
+    key = bytes(range(16))
+    assert DM.fn(kind(key)) == DM.fn(key)
+
+
+def test_davies_meyer_chains_in_threads_agree():
+    # more threads than cores, switching often: each call releases the GIL
+    # inside libcrypto, so concurrent calls overlap there
+    seeds = [bytes([i]) * 16 for i in range(8)]
+
+    def chain(v):
+        out = []
+        for _ in range(2000):
+            v = DM.fn(v)
+            out.append(v)
+        return out
+
+    expect = [chain(v) for v in seeds]
+    start = threading.Barrier(8, timeout=60)
+    got = [None] * 8
+
+    def run(i):
+        start.wait()
+        got[i] = chain(seeds[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expect
+
+
+class _Lib:
+    """The loaded libcrypto less the symbols in missing, with each symbol in
+    fail returning that result, counting cipher contexts made and freed."""
+
+    def __init__(self, missing=(), fail=None):
+        self.missing, self.fail, self.made, self.freed = missing, fail or {}, 0, 0
+
+    def __getattr__(self, name):
+        if name in self.missing:
+            raise AttributeError(name)
+        if name in self.fail:
+            return lambda *args: self.fail[name]
+        fn = getattr(owf._LIBCRYPTO[1], name)
+        if name == "EVP_CIPHER_CTX_new":
+            self.made += 1
+        if name == "EVP_CIPHER_CTX_free":
+            self.freed += 1
+        return fn
+
+
+@pytest.mark.skipif(owf._LIBCRYPTO is None, reason="libcrypto did not load")
+def test_each_builtin_loads_from_its_own_symbols():
+    # no EVP_MD_fetch (OpenSSL 1.1) or no MD5 digest (FIPS): no md5 kernel,
+    # and Davies-Meyer still loads; no AES symbol: no Davies-Meyer, and the
+    # kernel still loads
+    ctypes, _, cipher = owf._LIBCRYPTO
+    for lib in (_Lib(missing={"EVP_MD_fetch"}), _Lib(fail={"EVP_MD_fetch": None})):
+        assert owf._load_md5_kernel(ctypes, lib, cipher) is None
+        assert owf._load_davies_meyer(ctypes, lib, cipher)(bytes(16)) == AES_ZERO_VECTOR
+    for name in ("EVP_CIPHER_CTX_new", "EVP_EncryptInit_ex", "EVP_EncryptUpdate"):
+        lib = _Lib(missing={name})
+        assert owf._load_davies_meyer(ctypes, lib, cipher) is None
+        assert owf._load_md5_kernel(ctypes, lib, cipher)(EMPTY_DIGEST, 1) == EMPTY_DIGEST_NEXT
+
+
+@pytest.mark.skipif(owf._LIBCRYPTO is None, reason="libcrypto did not load")
+@pytest.mark.parametrize("fail", [{"EVP_CIPHER_CTX_new": None}, {"EVP_EncryptInit_ex": 0},
+                                  {"EVP_EncryptUpdate": 0}],
+                         ids=["no-context", "init", "update"])
+def test_davies_meyer_fails_its_self_test_on_any_failed_call_and_frees(fail):
+    # a failed call raises rather than return an unfilled buffer, so the
+    # import-time self-test stops at its first call and leaves the function
+    # unloaded; that call frees its context, or the NULL it got
+    ctypes, _, cipher = owf._LIBCRYPTO
+    lib = _Lib(fail=fail)
+    assert owf._load_davies_meyer(ctypes, lib, cipher) is None
+    assert (lib.made, lib.freed) == ("EVP_CIPHER_CTX_new" not in fail, 1)
+
+
+def test_without_hashlib_davies_meyer_is_a_clear_error():
+    # no libcrypto: the package imports, md5 and testmix64 run, and
+    # Davies-Meyer is refused by name, through the API and the CLI alike
+    lines = _probe(
+        "import contextlib, io, sys\n"
+        "sys.modules['_hashlib'] = None\n"
+        "from chainpebble import builtin, cli, evaluate\n"
+        "print(evaluate(builtin('md5'), bytes(16)).hex(), evaluate(builtin('testmix64'), bytes(8)).hex())\n"
+        "try:\n"
+        "    builtin('davies-meyer-aes128')\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "for argv in (['reverse', '--k', '2'], ['serve', '--port', '0']):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        status = cli.main(argv + ['--owf', 'davies-meyer-aes128'])\n"
+        "    print(status, repr(out.getvalue()), repr(err.getvalue()))\n"
+    )
+    assert lines[0].split() == [builtin("md5").fn(bytes(16)).hex(),
+                                builtin("testmix64").fn(bytes(8)).hex()]
+    assert lines[1] == ("ValueError davies-meyer-aes128 is unavailable: libcrypto's AES-128 "
+                        "could not be loaded through _hashlib")
+    error = repr(f"error: {lines[1].removeprefix('ValueError ')}\n")
+    assert lines[2:] == [f"2 '' {error}"] * 2
