@@ -2,7 +2,7 @@
 
 The package exposes pluggable one-way functions, the four schedule families
 with their exact half-integer analysis, a generic round-driven pebbler, two
-in-place pebblers whose inter-round state is a counter plus a slot array,
+in-place pebblers whose inter-round state is a countdown plus a slot array,
 and a chained one-time identification protocol built on top.
 """
 

@@ -13,6 +13,12 @@ from typing import Callable, Iterable
 from . import inplace, pebbler, protocol, schedule
 from .owf import Owf
 
+# f(x) = x + 1 mod 2^64: from seed 0 every value is its own chain position,
+# so a state's slots can be written down for any round without hashing; not
+# one-way, which pebbling correctness does not need
+POSITION = Owf("position64", 8,
+               lambda v: ((int.from_bytes(v, "big") + 1) % (1 << 64)).to_bytes(8, "big"))
+
 # make_schedule("optimal", k) for small k, as published
 FIXTURES = {
     0: [],
@@ -152,6 +158,54 @@ def counter_decoding(owf: Owf, seed: bytes, ks: Iterable[int]) -> None:
             p.step()
 
 
+def closed_form_blob(family: str, k: int, r: int) -> bytes:
+    """save() of the family's stepper over ``POSITION`` from seed 0 at round
+    r, from the closed form alone: each set bit i of c = 2^(k+1) - r is a
+    sub-pebbler whose values end below top = c with bits 0..i-1 cleared and
+    that still owes rem - 1 hashes, rem being the family's ``remaining`` sum
+    over its c mod 2^i set-up rounds left, plus one; with m = bitlen(rem) - 1
+    it holds top - 2^j in slots m < j <= i and top - rem in slot m."""
+    cls, c = inplace.STEPPERS[family], (2 << k) - r
+    slots = [None] * (k + 1)
+    for i in range(k + 1):
+        if c >> i & 1:
+            top = c >> i << i
+            rem = cls.remaining(i, c % (1 << i)) + 1
+            m = rem.bit_length() - 1
+            slots[m:i + 1] = [top - rem, *(top - (1 << j) for j in range(m + 1, i + 1))]
+    body = b"".join(bytes(9) if p is None else b"\x01" + p.to_bytes(8, "big") for p in slots)
+    return bytes([cls.code, k]) + r.to_bytes(4, "big") + body
+
+
+def inplace_scale(variants: Iterable[str]) -> None:
+    """At order ``MAX_K``, a stepper restored from ``closed_form_blob`` at 40
+    rounds drawn across the reversal steps min(300, c) rounds from each: it
+    releases each round's chain position, spends the family's budgets over
+    the live sub-pebblers' set-up rounds (read from ``schedule.RULES``,
+    which shares no code with the steps), at most the family's peak, and
+    ends in the closed form's state."""
+    k = schedule.MAX_K
+    for variant in variants:
+        rule, rng = schedule.RULES[variant], random.Random(30)
+        peak = (k + 1) // 2 if variant == "optimal" else k - 1
+        for r in sorted(rng.randrange(1 << k, 2 << k) for _ in range(40)):
+            c0, where = (2 << k) - r, f"{variant} k={k} restored at round {r}"
+            # per round: position c - 1, and the budgets of the sub-pebblers in set-up
+            want = [((c - 1).to_bytes(8, "big"),
+                     sum(rule(i, (1 << i) - c % (1 << i)) for i in range(k + 1)
+                         if c >> i & 1 and c % (1 << i)))
+                    for c in range(c0, max(c0 - 300, 0), -1)]
+            try:
+                state = inplace.restore(closed_form_blob(variant, k, r), POSITION)
+                _same([state.step() for _ in want], want, where + ",", r)
+            except pebbler.DecodeError as exc:
+                raise CheckFailed(f"{where}: {exc}") from None
+            if max(h for _, h in want) > peak:
+                raise CheckFailed(f"{where}: over {peak} hashes")
+            if inplace.save(state) != closed_form_blob(variant, k, state.r):
+                raise CheckFailed(f"{where}: state at round {state.r}")
+
+
 def suite(owf: Owf, seed: bytes, k_max: int) -> list[tuple[str, Callable[[], None]]]:
     """The (name, check) pairs ``verify`` runs; pebbler runs are capped to stay fast."""
     to10 = range(min(k_max, 10) + 1)
@@ -166,4 +220,5 @@ def suite(owf: Owf, seed: bytes, k_max: int) -> list[tuple[str, Callable[[], Non
         *((f"inplace-{v}-equivalence", partial(inplace_equivalence, owf, seed, v, to10))
           for v in inplace.STEPPERS),
         ("counter-decoding", partial(counter_decoding, owf, seed, range(1, min(k_max, 8) + 1))),
+        ("inplace-scale", partial(inplace_scale, inplace.STEPPERS)),  # at MAX_K, whatever k_max
     ]

@@ -1,14 +1,17 @@
-"""In-place pebblers: between rounds the whole state is a counter plus slots.
+"""In-place pebblers: between rounds the whole state is a countdown plus slots.
 
-During the reversal stage, everything about the sub-pebblers running in
-parallel can be read off the binary representation of the countdown
-c = 2^(k+1) - r: each set bit i is a live sub-pebbler of order i, its
-progress is c mod 2^(i+1), and its values sit in the slot block that ends at
-index i.  The slot written next by a working pebbler is always the one just
-vacated by the pebblers to its right, which is what makes a fixed array
-suffice.  Each sub-pebbler's frontier is one counter per bit, ``rem[i]``
-(hashes the order-i pebbler still owes, plus one), a closed form in i and
-u = c mod 2^i: the family's remaining set-up sum plus one, that sum being
+A state is (owf, c, slots): the countdown c = 2^(k+1) - r, which each step
+counts down by one, and k+1 value slots.  The order k = len(slots) - 1 and
+the round r = 2^(k+1) - c are read off them, not stored.  During the
+reversal stage, everything about the sub-pebblers running in parallel can
+be read off the binary representation of c: each set bit i is a live
+sub-pebbler of order i, its progress is c mod 2^(i+1), and its values sit
+in the slot block that ends at index i.  The slot written next by a
+working pebbler is always the one just vacated by the pebblers to its
+right, which is what makes a fixed array suffice.  Each sub-pebbler's
+frontier is one counter per bit, ``rem[i]`` (hashes the order-i pebbler
+still owes, plus one), a closed form in i and u = c mod 2^i: the
+family's remaining set-up sum plus one, that sum being
 ``schedule.optimal_remaining`` for the optimal stepper and
 ``schedule.speed2_remaining`` for the speed-2 one (each stepper class names
 its own as ``remaining``).  One helper, ``_frontier``, builds the k+1
@@ -47,7 +50,7 @@ walk and its checks.
 
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
-the countdown each step computes anyway (c <= 0).  Widths are checked at
+the countdown that each step reads anyway (c <= 0).  Widths are checked at
 the boundaries, not per hash: the seed once at construction, through
 ``Owf.as_value`` (whose docstring states the value rule), and slot sizes
 in ``restore``; one-way function outputs need no check, since ``owf`` makes
@@ -55,11 +58,12 @@ every ``owf.fn`` width-exact.  Every value hashed or emitted is therefore
 of the function's width.
 
 A state serializes as (variant, k, r, slots) and nothing else, in the one
-layout that ``save`` states for both steppers; restoring reproduces the
-remaining output and hash-count streams exactly.  The steppers hold nothing
-else either (``__slots__``, no ``__dict__``), apart from the optimal
-stepper's ``rem``, derived from (k, r) and never saved, so a state saved at
-any round, before a prover's first release included, restores to every
+layout that ``save`` states for both steppers (the blob stores r, read off
+c); restoring reproduces the remaining output and hash-count streams
+exactly.  The steppers hold nothing beyond (owf, c, slots) either
+(``__slots__``, no ``__dict__``), apart from the optimal stepper's
+``rem``, derived from (k, r) and never saved, so a state saved at any
+round, before a prover's first release included, restores to every
 release left.  The order k lies in 0..``schedule.MAX_K``, the range every
 engine takes, checked at construction by ``schedule.check_order`` and in
 ``restore``; at k = 0 the one step is the free round, which releases the
@@ -149,11 +153,13 @@ def _frontier(k: int, r: int, remaining) -> array:
 
 
 class _InPlace:
-    """k+1 value slots and a round counter.  Construction runs the whole
-    set-up as one fill of 2^k - 1 hashes, leaving f^(2^k - 2^i)(seed) in
-    slot i; each step() returns (chain element, hashes spent)."""
+    """k+1 value slots and the countdown c = 2^(k+1) - r.  Construction runs
+    the whole set-up as one fill of 2^k - 1 hashes, leaving
+    f^(2^k - 2^i)(seed) in slot i; each step() returns (chain element,
+    hashes spent) and counts c down by one.  The order k = len(z) - 1 and
+    the round r = 2^(k+1) - c are read off that state, not stored."""
 
-    __slots__ = ("owf", "k", "z", "r")
+    __slots__ = ("owf", "z", "c")
 
     def __init__(self, owf: Owf, k: int, seed: bytes):
         check_order(k)
@@ -175,12 +181,20 @@ class _InPlace:
                 held |= (2 << i) - (1 << rem[i].bit_length() - 1)
         # in place, so the list keeps its exact size (a comprehension's overallocates)
         slots[:] = [v if held >> s & 1 else None for s, v in enumerate(slots)]
-        self.owf, self.k, self.r, self.z = owf, k, r, slots
+        self.owf, self.c, self.z = owf, c, slots
         return rem
 
     @property
+    def k(self) -> int:
+        return len(self.z) - 1
+
+    @property
+    def r(self) -> int:
+        return (2 << self.k) - self.c
+
+    @property
     def exhausted(self) -> bool:
-        return self.r >= 1 << (self.k + 1)
+        return self.c <= 0
 
     def peek(self) -> bytes | None:
         """The value the next step releases, slot 0; None once exhausted."""
@@ -196,8 +210,7 @@ class InPlaceSpeed2(_InPlace):
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
-        k, z = self.k, self.z
-        c = (2 << k) - self.r
+        z, c = self.z, self.c
         if c <= 0:
             raise ExhaustedError("in-place speed-2 pebbler is exhausted")
         out = z[0]
@@ -221,7 +234,7 @@ class InPlaceSpeed2(_InPlace):
             c >>= n
             i += n
             q = i
-        self.r += 1
+        self.c -= 1
         return out, hashes
 
 
@@ -241,8 +254,7 @@ class InPlaceOptimal(_InPlace):
 
     def step(self) -> tuple[bytes, int]:
         """Run round r: return (chain element, hashes spent)."""
-        k, z = self.k, self.z
-        c = (2 << k) - self.r
+        z, c = self.z, self.c
         if c <= 0:
             raise ExhaustedError("in-place optimal pebbler is exhausted")
         low = c & -c  # the emitting sub-pebbler's bit
@@ -273,7 +285,7 @@ class InPlaceOptimal(_InPlace):
                 _fill(self.owf, z, r_i, n)
                 rem[i] = r_i - n
                 hashes += n
-        self.r += 1
+        self.c = c - 1
         return out, hashes
 
 

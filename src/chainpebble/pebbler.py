@@ -143,11 +143,12 @@ class _Run:
 
 
 class Pebbler:
-    """Single-owner state machine; each step() call runs one round, and
-    peek() reads what the next round releases without running it.  It takes
-    the seed through ``Owf.as_value``."""
+    """Single-owner state machine; each step() call runs round ``r`` (the
+    same name and meaning as the in-place steppers' ``r``), and peek() reads
+    what that round releases without running it.  It takes the seed
+    through ``Owf.as_value``."""
 
-    __slots__ = ("owf", "family", "k", "lifetime", "round_no", "children", "_rule")
+    __slots__ = ("owf", "family", "k", "lifetime", "r", "children", "_rule")
 
     def __init__(self, owf: Owf, family: str, k: int, seed: bytes):
         rule = _checked_rule(family, k)
@@ -156,39 +157,39 @@ class Pebbler:
         self.family = family
         self.k = k
         self.lifetime = (1 << (k + 1)) - 1
-        self.round_no = 1
+        self.r = 1
         self.children = [_Run(k, seed)]  # frontier; the root is a run like any other
         self._rule = rule
 
     @property
     def exhausted(self) -> bool:
-        return self.round_no > self.lifetime
+        return self.r > self.lifetime
 
     @property
     def redundant(self) -> bool:
         """True once the children have taken over all stored values (after round 2^k)."""
-        return self.round_no > 1 << self.k
+        return self.r > 1 << self.k
 
     def peek(self) -> Optional[bytes]:
         """The value the next round releases, read without stepping: the
         hand-off run's slot 0 (its seed at order 0); None in set-up rounds
         and once exhausted."""
-        if not 1 << self.k <= self.round_no <= self.lifetime:
+        if not 1 << self.k <= self.r <= self.lifetime:
             return None
         run = self.children[-1]
         return run.slots[0] if run.k else run.seed
 
     def step(self) -> RoundResult:
-        r = self.round_no
+        r = self.r
         out, hashes = self._round()
         return RoundResult(r, hashes, out)
 
     def _round(self) -> tuple[Optional[bytes], int]:
         """Run one round: return (output or None, hashes spent)."""
-        r = self.round_no
+        r = self.r
         if r > self.lifetime:
             raise ExhaustedError(f"order-{self.k} pebbler is exhausted after round {self.lifetime}")
-        self.round_no = r + 1
+        self.r = r + 1
         frontier, rule, owf = self.children, self._rule, self.owf
         if r < 1 << self.k:  # the root's set-up: it runs alone and nothing emits
             out, k = None, 0
@@ -232,13 +233,13 @@ class Pebbler:
         """Run the set-up rounds left as one fill and return its hashes (0 past
         set-up); it leaves the state the per-round set-up leaves, since the
         root runs alone until round 2^k and owes 2^k - 1 hashes in all."""
-        if self.round_no >= 1 << self.k:
+        if self.r >= 1 << self.k:
             return 0
         run = self.children[0]
         n = run.rem - 1
         _fill(self.owf, run.slots or run.pin(), run.rem, n)
         run.rem = 1
-        run.round_no = self.round_no = 1 << self.k
+        run.round_no = self.r = 1 << self.k
         return n
 
     def storage(self) -> int:

@@ -50,6 +50,8 @@ concern and must happen out of band.  Sessions are independent; the server
 may run them concurrently but never shares mutable session state.
 """
 
+import contextlib
+import select
 import socket
 import socketserver
 import threading
@@ -80,16 +82,17 @@ class Prover:
     after the 2^k-th release, its step raises ``ExhaustedError`` and
     changes nothing, so ``released`` stays 2^k.
 
-    A Prover holds no chain value of its own: its state is its engine's
-    plus the ``released`` and ``last_hashes`` counters.  Construction sets
-    the engine up to round 2^k, where it holds k+1 values, and registers f
-    of the engine's ``peek()``, the free round's release; every release,
-    the first one included, is one round of the engine's own step, so a
-    state saved from ``pebbler`` before the first release restores to all
-    2^k releases.  The engine takes the seed through ``Owf.as_value``.
+    A Prover holds no chain value or round count of its own: its state is
+    its engine's plus ``last_hashes``, and ``released`` is read off the
+    engine's round r as r - 2^k.  Construction sets the engine up to round
+    2^k, where it holds k+1 values, and registers f of the engine's
+    ``peek()``, the free round's release; every release, the first one
+    included, is one round of the engine's own step, so a state saved from
+    ``pebbler`` before the first release restores to all 2^k releases.  The
+    engine takes the seed through ``Owf.as_value``.
     """
 
-    __slots__ = ("released", "last_hashes", "pebbler", "_step", "endpoint")
+    __slots__ = ("last_hashes", "pebbler", "_step", "endpoint")
 
     def __init__(self, owf: Owf, k: int, seed: bytes, engine: str = "auto",
                  family: str | None = None):
@@ -106,7 +109,6 @@ class Prover:
             step = type(pebbler).step
         else:
             raise ValueError(f"engine {engine!r} cannot run family {family!r}; engines: {ENGINES}")
-        self.released = 0
         self.last_hashes = 0
         self.pebbler = pebbler
         self._step = step  # the class's function, so no bound method is kept
@@ -115,8 +117,12 @@ class Prover:
     def next_value(self) -> bytes:
         """Release the next preimage: one round of the engine's own step."""
         value, self.last_hashes = self._step(self.pebbler)
-        self.released += 1
         return value
+
+    @property
+    def released(self) -> int:
+        """Preimages released so far, read off the engine's round r."""
+        return self.pebbler.r - (1 << self.pebbler.k)
 
 
 class Verifier:
@@ -273,14 +279,31 @@ def run_client(owf: Owf, k: int, seed: bytes, host: str, port: int, rounds: int,
     1 at the first that is not, at a round past the chain's last, or at a
     reply that ends the session early (EOF, no LF within MAX_LINE bytes,
     idle-timeout, or a socket error), which is reported as ``connection lost``.
+    It dials before the set-up, so that a server it cannot reach costs no
+    hash and is reported as ``connection failed``; when the server has
+    spoken or closed by the end of the set-up (an idle-timeout, say), it
+    registers on a new connection.
     """
-    prover = Prover(owf, k, seed)
-    try:
-        conn = socket.create_connection((host, port), timeout=IDLE_TIMEOUT)
-    except OSError as exc:
-        report(f"connection failed: {exc}")
-        return 1
-    with conn, conn.makefile("rwb") as wire:
+    with contextlib.ExitStack() as stack:
+
+        def dial() -> socket.socket | None:
+            """A new connection, closed with the stack; None once a failure is reported."""
+            try:
+                sock = socket.create_connection((host, port), timeout=IDLE_TIMEOUT)
+            except OSError as exc:
+                report(f"connection failed: {exc}")
+                return None
+            return stack.enter_context(sock)
+
+        conn = dial()
+        if conn is not None:
+            prover = Prover(owf, k, seed)
+            if select.select([conn], [], [], 0)[0]:  # the server answered or closed meanwhile
+                conn.close()
+                conn = dial()
+        if conn is None:
+            return 1
+        wire = stack.enter_context(conn.makefile("rwb"))
 
         def exchange(line: str, want: str, before: str, after: str = "") -> bool:
             """Send line, report its reply between before and after, and tell

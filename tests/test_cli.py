@@ -222,7 +222,7 @@ def test_verify_passes(capsys):
     status, out = run_cli(capsys, "verify", "--k-max", "6")
     assert status == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("ok   ") for line in lines)
 
 
@@ -254,6 +254,16 @@ def _bump_last(seq):
     return seq[:-1] + [seq[-1] + 1]
 
 
+def _one_off_above_16(frontier):
+    """_frontier with each live sub-pebbler's counter above order 16 one too high."""
+    def faulty(k, r, remaining):
+        rem, c = frontier(k, r, remaining), (2 << k) - r
+        for i in range(17, k + 1):
+            rem[i] += c >> i & 1
+        return rem
+    return faulty
+
+
 def _flip_next_output(state):
     state.z[0] = bytes([state.z[0][0] ^ 1]) + state.z[0][1:]
     return state
@@ -274,13 +284,14 @@ FAULTS = {
     "oracle-reversal": (pebbler, "run_outputs", lambda good: _corrupt(
         good, lambda owf, family, k, seed: family == "speed1" and k == 5, lambda out: out[:-1])),
     "storage-bounds": (pebbler.Pebbler, "storage", lambda good: (
-        lambda self: good(self) + (self.round_no == 1 << self.k))),  # off by one
+        lambda self: good(self) + (self.r == 1 << self.k))),  # off by one
     "inplace-speed2-equivalence": (inplace.InPlaceSpeed2, "step", lambda good: _corrupt(
         good, lambda self: self.r == (2 << self.k) - 1, lambda res: (res[0], res[1] + 1))),
     "inplace-optimal-equivalence": (inplace, "restore", lambda good: _corrupt(
         good, _always, _flip_next_output)),
     "counter-decoding": (inplace, "decode_states", lambda good: _corrupt(
         good, _always, lambda found: [replace(d, phase=inplace.HASHING) for d in found])),
+    "inplace-scale": (inplace, "_frontier", _one_off_above_16),  # unseen at k <= 16
 }
 
 

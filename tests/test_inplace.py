@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainpebble import checks
+from chainpebble.checks import POSITION, closed_form_blob
 from chainpebble.inplace import (
     FIRST_OUTPUT,
     HASHING,
@@ -24,10 +26,7 @@ from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import Prover, Verifier
 from chainpebble.schedule import (
-    MAX_K,
-    RULES,
     optimal_remaining,
-    speed2_remaining,
     unrounded_optimal,
     work_sequence,
 )
@@ -349,8 +348,8 @@ def test_restore_rejects_order_above_30(code):
 
 
 @pytest.mark.parametrize("cls,names", [
-    (InPlaceSpeed2, {"owf", "k", "z", "r"}),
-    (InPlaceOptimal, {"owf", "k", "z", "r", "rem"}),
+    (InPlaceSpeed2, {"owf", "z", "c"}),
+    (InPlaceOptimal, {"owf", "z", "c", "rem"}),
 ])
 def test_inplace_state_is_counter_plus_slots(cls, names):
     # no __dict__, so no table can hide beside the counter and the slots
@@ -364,6 +363,23 @@ def test_inplace_state_is_counter_plus_slots(cls, names):
             getattr(state, name)  # every slot is set
         with pytest.raises(AttributeError):
             state.table = []
+
+
+@pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
+def test_order_and_round_are_read_off_slots_and_countdown(cls):
+    # k and r are not stored: k = len(z) - 1 and r = 2^(k+1) - c, before and
+    # after a save and restore, at every round of every order up to 6
+    for k in range(7):
+        state = cls(MIX, k, SEED)
+        for j in range((1 << k) + 1):
+            restored = restore(save(state), MIX)
+            assert restored.c == state.c
+            for s in (state, restored):
+                assert s.k == len(s.z) - 1 == k
+                assert s.r == (2 << k) - s.c == (1 << k) + j, (k, j)
+            if j < 1 << k:
+                state.step()
+        assert state.exhausted
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -659,35 +675,6 @@ def test_inplace_reversal_at_k16(cls, family):
     assert hashes == [0] + work_sequence(family, k)
 
 
-# f(x) = x + 1 mod 2^64: from seed 0 every value is its own chain position,
-# so a state's slots can be written down for any round without hashing; not
-# one-way, which pebbling correctness does not need
-POSITION = Owf("position64", 8, lambda v: ((int.from_bytes(v, "big") + 1) % (1 << 64)).to_bytes(8, "big"))
-SUMS = {"optimal": optimal_remaining, "speed2": speed2_remaining}
-PEAK = {"optimal": lambda k: (k + 1) // 2, "speed2": lambda k: k - 1}
-
-
-def closed_form_blob(family, k, r):
-    """save() of the family's stepper at round r, from the closed form alone:
-    each set bit i of c = 2^(k+1) - r is a sub-pebbler whose seed sits at
-    base (c with bits 0..i cleared) and that still owes rem - 1 hashes, rem
-    being the family's sum over its c mod 2^i set-up rounds left, plus one;
-    with m = bitlen(rem) - 1 it holds base + 2^i - 2^j in slots m < j <= i
-    and base + 2^i - rem in slot m."""
-    c = (2 << k) - r
-    slots = [None] * (k + 1)
-    for i in range(k + 1):
-        if c >> i & 1:
-            base = c >> (i + 1) << (i + 1)
-            rem = SUMS[family](i, c % (1 << i)) + 1
-            m = rem.bit_length() - 1
-            for j in range(m + 1, i + 1):
-                slots[j] = base + (1 << i) - (1 << j)
-            slots[m] = base + (1 << i) - rem
-    body = b"".join(bytes(9) if p is None else b"\x01" + p.to_bytes(8, "big") for p in slots)
-    return bytes([STEPPERS[family].code, k]) + r.to_bytes(4, "big") + body
-
-
 @pytest.mark.parametrize("family", sorted(STEPPERS))
 def test_closed_form_is_the_stepped_state(family):
     # every round of every small order, set-up's end and exhaustion included
@@ -703,17 +690,5 @@ def test_closed_form_is_the_stepped_state(family):
 @pytest.mark.parametrize("family", sorted(STEPPERS))
 def test_inplace_at_max_order_from_closed_form(family):
     # restored at rounds sampled across order MAX_K's reversal, each window's
-    # releases, hashes and end state against the closed form; the hashes are
-    # the family's budgets over the live sub-pebblers' set-up rounds, read
-    # from schedule.RULES, which shares no code with the steps
-    k, rule, rng = MAX_K, RULES[family], random.Random(30)
-    for r in sorted(rng.randrange(1 << k, 2 << k) for _ in range(40)):
-        state = restore(closed_form_blob(family, k, r), POSITION)
-        for _ in range(min(300, (2 << k) - r)):
-            c = (2 << k) - state.r
-            out, hashes = state.step()
-            assert out == (c - 1).to_bytes(8, "big"), (r, c)
-            assert hashes == sum(rule(i, (1 << i) - c % (1 << i)) for i in range(k + 1)
-                                 if c >> i & 1 and c % (1 << i)), (r, c)
-            assert hashes <= PEAK[family](k), (r, c)
-        assert save(state) == closed_form_blob(family, k, state.r), r
+    # releases, hashes and end state against the closed form
+    checks.inplace_scale([family])

@@ -196,7 +196,7 @@ def test_root_round_is_the_pebblers_until_its_handoff(family):
         p = Pebbler(MIX, family, k, SEED)
         while not p.redundant:
             [root] = p.children
-            assert (root.k, root.round_no) == (k, p.round_no), (k, p.round_no)
+            assert (root.k, root.round_no) == (k, p.r), (k, p.r)
             p.step()
 
 
@@ -224,7 +224,7 @@ def test_finish_setup_matches_per_round_setup(family):
             spent = sum(p.step().hashes for _ in range(stop))
             spent += p.finish_setup()
             assert spent == (1 << k) - 1, (k, stop)
-            assert p.round_no == 1 << k
+            assert p.r == 1 << k
             assert p.finish_setup() == 0  # past set-up it does nothing
             assert _rest_of_run(p) == want, (k, stop)
 
@@ -283,8 +283,8 @@ def test_peek_is_the_next_release(family):
         p = Pebbler(MIX, family, k, SEED)
         while not p.exhausted:
             want = p.peek()
-            assert (want is None) == (p.round_no < 1 << k), (k, p.round_no)
-            assert p.peek() == want == p.step().output, (k, p.round_no)
+            assert (want is None) == (p.r < 1 << k), (k, p.r)
+            assert p.peek() == want == p.step().output, (k, p.r)
         assert p.peek() is None
         filled = Pebbler(MIX, family, k, SEED)
         filled.finish_setup()
@@ -344,7 +344,7 @@ def test_runs_get_slots_only_once_they_hash(family):
         p = Pebbler(MIX, family, k, SEED)
         while True:
             for run in p.children:
-                assert (run.slots is None) == (run.rem == 1 << run.k), (k, p.round_no)
+                assert (run.slots is None) == (run.rem == 1 << run.k), (k, p.r)
             if p.exhausted:
                 break
             p.step()

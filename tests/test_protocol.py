@@ -68,6 +68,23 @@ def test_every_engine_refuses_to_release_past_the_chain(engine):
             assert prover.released == 1 << k
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_released_is_read_off_the_engines_round(engine):
+    # a Prover keeps no count of its own: released is the engine's r - 2^k,
+    # and a refused release moves neither
+    for k in range(1 if engine.startswith("inplace-") else 0, 7):
+        prover = Prover(MIX, k, SEED, engine)
+        pebbler = prover.pebbler
+        assert (prover.released, pebbler.r) == (0, 1 << k)
+        for j in range(1, (1 << k) + 1):
+            prover.next_value()
+            assert prover.released == pebbler.r - (1 << k) == j, (k, j)
+        for _ in range(2):
+            with pytest.raises(ExhaustedError):
+                prover.next_value()
+            assert (prover.released, pebbler.r) == (1 << k, 2 << k)
+
+
 class CountingKernel:
     """The md5 kernel behind a shim that counts its calls."""
 
@@ -304,7 +321,7 @@ def test_first_release_is_the_engines_free_round(engine):
         pebbler = prover.pebbler
         assert prover.endpoint == iterate(MIX, SEED, 1 << k)
         if isinstance(pebbler, Pebbler):
-            assert (pebbler.round_no, pebbler.storage()) == (1 << k, k + 1)
+            assert (pebbler.r, pebbler.storage()) == (1 << k, k + 1)
         else:
             assert (pebbler.r, len(pebbler.z) - pebbler.z.count(None)) == (1 << k, k + 1)
         first = pebbler.peek()
@@ -694,6 +711,35 @@ def test_client_connection_failure():
     status = run_client(MIX, 1, SEED, "127.0.0.1", free_port, 1, report=lines.append)
     assert status == 1
     assert "connection failed" in lines[0]
+
+
+def test_client_spends_no_hash_on_a_closed_port():
+    # it dials before the set-up, so an unreachable server costs no hash
+    calls = []
+    counted = Owf("counted", MIX.width, lambda v: calls.append(v) or MIX.fn(v))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        free_port = probe.getsockname()[1]
+    lines = []
+    status = run_client(counted, 10, SEED, "127.0.0.1", free_port, 1, report=lines.append)
+    assert (status, len(calls)) == (1, 0)
+    assert len(lines) == 1 and lines[0].startswith("connection failed: ")
+
+
+def test_client_registers_after_a_setup_longer_than_the_idle_timeout(server, monkeypatch):
+    # the session dialed before the set-up times out during its 0.8 s, so
+    # the client registers on a new connection
+    monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.3)
+
+    def slow(v):
+        time.sleep(0.1)
+        return MIX.fn(v)
+
+    lines = []
+    status = run_client(Owf("slow", MIX.width, slow), 3, SEED, "127.0.0.1",
+                        server.server_address[1], 0, report=lines.append)
+    assert status == 0
+    assert len(lines) == 1 and lines[0].endswith(" -> OK 0"), lines
 
 
 def _wait_for_client(conn, reader):
