@@ -162,19 +162,22 @@ def closed_form_blob(family: str, k: int, r: int) -> bytes:
     """save() of the family's stepper over ``POSITION`` from seed 0 at round
     r, from the closed form alone: each set bit i of c = 2^(k+1) - r is a
     sub-pebbler whose values end below top = c with bits 0..i-1 cleared and
-    that still owes rem - 1 hashes, rem being the family's ``remaining`` sum
-    over its c mod 2^i set-up rounds left, plus one; with m = bitlen(rem) - 1
-    it holds top - 2^j in slots m < j <= i and top - rem in slot m."""
-    cls, c = inplace.STEPPERS[family], (2 << k) - r
+    that still owes rem - 1 hashes, rem being the family's remaining set-up
+    sum from ``schedule`` over its c mod 2^i set-up rounds left, plus one;
+    with m = bitlen(rem) - 1 it holds top - 2^j in slots m < j <= i and
+    top - rem in slot m."""
+    remaining = {"optimal": schedule.optimal_remaining,
+                 "speed2": schedule.speed2_remaining}[family]
+    c = (2 << k) - r
     slots = [None] * (k + 1)
     for i in range(k + 1):
         if c >> i & 1:
             top = c >> i << i
-            rem = cls.remaining(i, c % (1 << i)) + 1
+            rem = remaining(i, c % (1 << i)) + 1
             m = rem.bit_length() - 1
             slots[m:i + 1] = [top - rem, *(top - (1 << j) for j in range(m + 1, i + 1))]
     body = b"".join(bytes(9) if p is None else b"\x01" + p.to_bytes(8, "big") for p in slots)
-    return bytes([cls.code, k]) + r.to_bytes(4, "big") + body
+    return bytes([inplace.STEPPERS[family].code, k]) + r.to_bytes(4, "big") + body
 
 
 def inplace_scale(variants: Iterable[str]) -> None:
