@@ -19,16 +19,15 @@ if str(SRC) not in sys.path:
 from chainpebble.cli import VERIFY_K_MAX, default_seed, upto  # noqa: E402
 from chainpebble.inplace import MAX_K  # noqa: E402
 from chainpebble.owf import OWF_NAMES, builtin  # noqa: E402
-from chainpebble.pebbler import run_trace  # noqa: E402
+from chainpebble.pebbler import iter_trace  # noqa: E402
 from chainpebble.schedule import FAMILIES  # noqa: E402
 
 
 def print_panel(owf, family, k, seed):
-    rows = run_trace(owf, family, k, seed)
     print(f"\n{family} pebbler, order {k} (chain length {1 << k})")
     print(f"{'round':>5} {'hashes':>6} {'pebbles':>7}  output")
     emitted = (1 << k) - 1
-    for row in rows:
+    for row in iter_trace(owf, family, k, seed):  # printed as they come
         label = ""
         if row.output is not None:
             label = f"x_{emitted} = {row.output.hex()}"
@@ -45,9 +44,11 @@ def print_summary(owf, seed, k_max):
     for k in range(1, k_max + 1):
         line = f"{k:>3}"
         for family in FAMILIES:
-            rows = run_trace(owf, family, k, seed)
-            work = max(row.hashes for row in rows[1 << k:]) if k else 0
-            store = max(row.storage for row in rows)
+            work = store = 0
+            for row in iter_trace(owf, family, k, seed):
+                store = max(store, row.storage)
+                if row.round > 1 << k:  # a reversal round
+                    work = max(work, row.hashes)
             line += f" | w={work:>2} s={store:>2}   "
         line += f" |   s={max(k + 1, 2 * k - 2):>2}        s={k + 1:>2}            w={(k + 1) // 2:>2}"
         print(line)

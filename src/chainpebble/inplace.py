@@ -44,9 +44,10 @@ held, as the framework's ``storage()``.  A prover's engine waits at round
 2^k, holding those k+1 values, until its first release, which runs the
 free round as an ordinary step.  ``peek()`` reads slot 0, the value the
 next step releases (None once exhausted).  The steppers do not count their
-occupancy: a caller reads it off the slots between steps
-(``len(z) - z.count(None)``), so a round pays only for its hashes, its bit
-walk and its checks.
+occupancy: ``storage()`` reads it off the slots between steps
+(``len(z) - z.count(None)``), as the framework's ``storage()`` answers
+for its runs, so every engine has one reader of held values and a round
+pays only for its hashes, its bit walk and its checks.
 
 Every check raises (none is an ``assert``, which ``python -O`` strips)
 and sits where its value enters or is first used.  Exhaustion is read off
@@ -199,6 +200,10 @@ class _InPlace:
     def peek(self) -> bytes | None:
         """The value the next step releases, slot 0; None once exhausted."""
         return None if self.exhausted else self.z[0]
+
+    def storage(self) -> int:
+        """Values held, read off the slots, as the framework's ``storage()``."""
+        return len(self.z) - self.z.count(None)
 
 
 class InPlaceSpeed2(_InPlace):

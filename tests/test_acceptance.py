@@ -9,7 +9,6 @@ runs, over wider ranges; a failure names its counterexample.
 import functools
 import math
 import socket
-import threading
 
 import pytest
 
@@ -17,8 +16,9 @@ from chainpebble import checks
 from chainpebble.inplace import FIRST_OUTPUT, HASHING, IDLE, decode_states, segment_budgets
 from chainpebble.owf import builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, run_trace
-from chainpebble.protocol import IdentificationServer, Prover
+from chainpebble.protocol import Prover
 from chainpebble.schedule import image_deficit, unrounded_head, unrounded_tail, work_sequence
+from harness import serving
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -92,11 +92,8 @@ def test_criterion_07_counter_decoding():
 @criterion(8, "protocol end-to-end over loopback, k=8")
 def test_criterion_08_protocol_loopback():
     seed = SEEDS["md5"]
-    server = IdentificationServer(MD5, "127.0.0.1", 0)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(MD5) as server:
+        port = server.server_address[1]
         prover = Prover(MD5, 8, seed)
         with socket.create_connection(("127.0.0.1", port)) as conn:
             wire = conn.makefile("rwb")
@@ -121,9 +118,6 @@ def test_criterion_08_protocol_loopback():
             assert last == seed  # final anchor is the chain seed
             with pytest.raises(ExhaustedError):
                 prover.next_value()  # round 257
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 @criterion(9, "iterate-image recurrence")

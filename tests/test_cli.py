@@ -1,12 +1,9 @@
 """Command-line surface: output formats, self-checks, and the loopback demo."""
 
 import gc
-import io
 import json
 import socket
 import sys
-import threading
-import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,7 +11,7 @@ import pytest
 from chainpebble import checks, cli, inplace, pebbler, schedule
 from chainpebble.owf import builtin
 from chainpebble.pebbler import reverse_oracle
-from chainpebble.protocol import IdentificationServer
+from harness import Discard, peak_bytes, serving
 
 MIX = builtin("testmix64")
 
@@ -172,22 +169,14 @@ def test_verify_k_max_above_20_is_usage_error():
     assert err.value.code == 2
 
 
-class Discard(io.TextIOBase):
-    """A text sink that keeps nothing."""
-
-    def write(self, text):
-        return len(text)
-
-
 def _cli_peak(monkeypatch, argv):
     monkeypatch.setattr(sys, "stdout", Discard())
     gc.collect()  # earlier parsers' reference cycles, freed at a random point otherwise
-    tracemalloc.start()
-    try:
+
+    def run():
         assert cli.main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return peak_bytes(run)
 
 
 @pytest.mark.parametrize("command", ["schedule", "trace"])
@@ -307,11 +296,8 @@ def test_each_check_catches_its_fault(name, monkeypatch):
 
 
 def test_serve_and_client_loopback(capsys):
-    server = IdentificationServer(builtin("md5"), "127.0.0.1", 0)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(builtin("md5")) as server:
+        port = server.server_address[1]
         status, out = run_cli(capsys, "client", "--host", "127.0.0.1",
                               "--port", str(port), "--k", "4", "--rounds", "16")
         assert status == 0
@@ -321,9 +307,6 @@ def test_serve_and_client_loopback(capsys):
                               "--tamper", "5")
         assert status == 0
         assert "round 5: FAIL" in out and "round 8: OK 7" in out
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_serve_on_a_port_in_use_is_one_error_line(capsys):

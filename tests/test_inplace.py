@@ -2,7 +2,6 @@
 
 import random
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +21,7 @@ from chainpebble.inplace import (
     save,
     segment_budgets,
 )
-from chainpebble.owf import Owf, WidthError, builtin, evaluate, iterate
+from chainpebble.owf import WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import Prover, Verifier
 from chainpebble.schedule import (
@@ -30,6 +29,7 @@ from chainpebble.schedule import (
     unrounded_optimal,
     work_sequence,
 )
+from harness import counting, peak_bytes, widening
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -46,22 +46,6 @@ def reversal_stream(family, k, seed=SEED, owf=MIX):
         res = p.step()
         pairs.append((res.output, res.hashes))
     return pairs
-
-
-def _occupied(state):
-    """Values a stepper holds, read from outside: its filled slots."""
-    return len(state.z) - state.z.count(None)
-
-
-def counting(owf):
-    """Same function, but counts evaluations."""
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return owf.fn(v)
-
-    return Owf(owf.name, owf.width, fn), calls
 
 
 # -- counter decoding ---------------------------------------------------------
@@ -209,11 +193,11 @@ def test_speed2_slot_handoff_at_round_664():
 @pytest.mark.parametrize("k", range(1, 11))
 def test_optimal_equivalence(k):
     sto = InPlaceOptimal(MIX, k, SEED)
-    most = _occupied(sto)  # after set-up
+    most = sto.storage()  # after set-up
     got = []
     for _ in range(1 << k):
         got.append(sto.step())
-        most = max(most, _occupied(sto))
+        most = max(most, sto.storage())
     assert got == reversal_stream("optimal", k)
     assert [h for _, h in got] == [0] + work_sequence("optimal", k)
     assert most == k + 1
@@ -234,34 +218,41 @@ def test_optimal_holds_k_values_after_setup(cls, k):
     # both steppers: k+1 values only at the end of set-up; the extra one is
     # emitted in round 2^k, after which slot k stays empty
     sto = cls(MIX, k, SEED)
-    assert len(sto.z) - sto.z.count(None) == k + 1
+    assert sto.storage() == k + 1
     for _ in range(1 << k):
         sto.step()
         assert sto.z[k] is None, (k, sto.r)
-        assert len(sto.z) - sto.z.count(None) <= k, (k, sto.r)
+        assert sto.storage() <= k, (k, sto.r)
 
 
-def _optimal_reversal_peak(k):
-    tracemalloc.start()
-    try:
-        sto = InPlaceOptimal(MIX, k, SEED)
-        for _ in range(1 << k):
-            sto.step()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_stepper_storage_is_the_frameworks():
+    # one reader of held values for every engine: before every reversal
+    # round and after the last, a stepper's storage() is the framework's
+    for family, cls in STEPPERS.items():
+        for k in range(11):
+            state, p = cls(MIX, k, SEED), Pebbler(MIX, family, k, SEED)
+            p.finish_setup()
+            while True:
+                assert state.storage() == p.storage(), (family, k, state.r)
+                if state.exhausted:
+                    break
+                state.step()
+                p.step()
+            assert p.exhausted
+
+
+def _optimal_reversal(k):
+    sto = InPlaceOptimal(MIX, k, SEED)
+    for _ in range(1 << k):
+        sto.step()
 
 
 def test_optimal_memory_flat_in_k():
     # set-up plus the whole reversal keeps no O(2^k) tables or lists
-    small, large = _optimal_reversal_peak(8), _optimal_reversal_peak(14)
+    small = peak_bytes(lambda: _optimal_reversal(8))
+    large = peak_bytes(lambda: _optimal_reversal(14))
     assert large < 4 * 1024, large
     assert large - small < 1024, (small, large)
-
-
-def _widening(owf):
-    """Same width on paper, but fn returns one byte too many."""
-    return Owf(owf.name, owf.width, lambda v: owf.fn(v) + b"\x00")
 
 
 @pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
@@ -275,7 +266,7 @@ def test_inplace_rejects_seed_of_wrong_width(cls):
 @pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
 def test_inplace_rejects_owf_that_changes_width_in_setup(cls):
     with pytest.raises(WidthError):
-        cls(_widening(MD5), 4, bytes(16))
+        cls(widening(MD5), 4, bytes(16))
 
 
 @pytest.mark.parametrize("cls", [InPlaceSpeed2, InPlaceOptimal])
@@ -283,7 +274,7 @@ def test_inplace_step_rejects_owf_that_changes_width(cls):
     # a state built with the right function, resumed with a widening one
     base = cls(MD5, 4, bytes(16))
     base.step()
-    resumed = restore(save(base), _widening(MD5))
+    resumed = restore(save(base), widening(MD5))
     with pytest.raises(WidthError):
         while True:
             resumed.step()
@@ -663,14 +654,14 @@ def test_inplace_reversal_at_k16(cls, family):
     # Verifier relation checks each release with one hash, holding no oracle
     k = 16
     state = cls(MIX, k, SEED)
-    assert _occupied(state) <= k + 1
+    assert state.storage() <= k + 1
     verifier = Verifier(MIX, iterate(MIX, SEED, 1 << k))
     hashes = []
     for _ in range(1 << k):
         out, h = state.step()
         assert verifier.check(out), state.r
         hashes.append(h)
-        assert _occupied(state) <= k, state.r
+        assert state.storage() <= k, state.r
     assert out == SEED
     assert hashes == [0] + work_sequence(family, k)
 

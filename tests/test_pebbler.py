@@ -2,12 +2,11 @@
 
 import hashlib
 import json
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainpebble.owf import Owf, WidthError, builtin, iterate
+from chainpebble.owf import WidthError, builtin, iterate
 from chainpebble.pebbler import (
     ExhaustedError,
     Pebbler,
@@ -22,6 +21,7 @@ from chainpebble.pebbler import (
 )
 from chainpebble.inplace import STEPPERS
 from chainpebble.schedule import FAMILIES, MAX_K, budget, budgets, work_sequence
+from harness import counting, peak_bytes, widening
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -371,49 +371,23 @@ def test_handoff_builds_runs_only_for_children_that_hash(family, monkeypatch):
         assert built[0] == (1 << (k - 1)) - 1, k
 
 
-def _framework_lifetime_peak(k):
-    tracemalloc.start()
-    try:
-        p = Pebbler(MIX, "optimal", k, SEED)
-        for _ in range(p.lifetime):
-            p.step()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _framework_lifetime(k):
+    p = Pebbler(MIX, "optimal", k, SEED)
+    for _ in range(p.lifetime):
+        p.step()
 
 
 def test_framework_memory_flat_in_k():
     # budgets come per round, so no pebbler keeps an O(2^k) schedule list
-    small, large = _framework_lifetime_peak(8), _framework_lifetime_peak(14)
+    small = peak_bytes(lambda: _framework_lifetime(8))
+    large = peak_bytes(lambda: _framework_lifetime(14))
     assert large < 8 * 1024, large
     assert large - small < 4 * 1024, (small, large)
 
 
-def _counting(owf):
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return owf.fn(v)
-
-    return Owf(owf.name, owf.width, fn), calls
-
-
-def _widening_after(owf, n):
-    """Same width on paper, but after n calls fn returns one byte too many."""
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        out = owf.fn(v)
-        return out + b"\x00" if calls[0] > n else out
-
-    return Owf(owf.name, owf.width, fn)
-
-
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_pebbler_rejects_seed_of_wrong_width(k):
-    fn, calls = _counting(MD5)
+    fn, calls = counting(MD5)
     with pytest.raises(WidthError):
         Pebbler(fn, "optimal", k, bytes(15))
     assert calls[0] == 0  # checked before any hashing
@@ -421,7 +395,7 @@ def test_pebbler_rejects_seed_of_wrong_width(k):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pebbler_rejects_owf_that_changes_width_in_setup(family):
-    p = Pebbler(_widening_after(MD5, 0), family, 4, bytes(16))
+    p = Pebbler(widening(MD5), family, 4, bytes(16))
     with pytest.raises(WidthError):
         for _ in range((1 << 4) - 1):
             p.step()
@@ -430,7 +404,7 @@ def test_pebbler_rejects_owf_that_changes_width_in_setup(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pebbler_rejects_owf_that_changes_width_in_reversal(family):
     # set-up spends 2^k - 1 hashes honestly; the first reversal hash widens
-    p = Pebbler(_widening_after(MD5, (1 << 4) - 1), family, 4, bytes(16))
+    p = Pebbler(widening(MD5, after=(1 << 4) - 1), family, 4, bytes(16))
     for _ in range((1 << 4) - 1):
         p.step()
     with pytest.raises(WidthError):
@@ -442,13 +416,7 @@ def test_pebbler_rejects_owf_that_changes_width_in_reversal(family):
 def test_every_engine_takes_orders_0_to_max_k_only(k):
     # one range, refused before any hash or allocation: from k = 33 a
     # framework set-up would hand the md5 kernel a share past a C int
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return MIX.fn(v)
-
-    owf = Owf(MIX.name, MIX.width, fn)
+    owf, calls = counting(MIX)
     for family in FAMILIES:
         with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
             Pebbler(owf, family, k, SEED)

@@ -7,7 +7,6 @@ import socket
 import struct
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,7 @@ from chainpebble.protocol import (
     run_client,
 )
 from chainpebble.schedule import FAMILIES
+from harness import POLL_INTERVAL, counting, peak_bytes, serving
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -152,14 +152,9 @@ def test_engines_release_identically(engine):
 @pytest.mark.parametrize("k", [31, 300])
 def test_prover_rejects_order_above_30(engine, k):
     # refused before any hash: a framework set-up of 2^k - 1 would never end
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return MIX.fn(v)
-
+    fn, calls = counting(MIX)
     with pytest.raises(ValueError):
-        Prover(Owf(MIX.name, MIX.width, fn), k, SEED, engine)
+        Prover(fn, k, SEED, engine)
     assert calls[0] == 0
 
 
@@ -173,15 +168,10 @@ def test_auto_engine_runs_the_requested_family(family):
 
 
 def test_auto_engine_rejects_unknown_family_before_hashing():
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return MIX.fn(v)
-
+    fn, calls = counting(MIX)
     for k in (0, 5):
         with pytest.raises(ValueError, match="family"):
-            Prover(Owf(MIX.name, MIX.width, fn), k, SEED, family="bogus")
+            Prover(fn, k, SEED, family="bogus")
     assert calls[0] == 0
 
 
@@ -192,14 +182,9 @@ def test_auto_engine_rejects_unknown_family_before_hashing():
     ("inplace-speed2", "rushing"),
 ])
 def test_inplace_engine_refuses_another_family_before_hashing(engine, family):
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return MIX.fn(v)
-
+    fn, calls = counting(MIX)
     with pytest.raises(ValueError, match="family"):
-        Prover(Owf(MIX.name, MIX.width, fn), 5, SEED, engine, family)
+        Prover(fn, 5, SEED, engine, family)
     assert calls[0] == 0
 
 
@@ -211,15 +196,10 @@ def test_family_none_is_the_engines_own():
     assert type(Prover(MIX, 5, SEED).pebbler) is STEPPERS["optimal"]
 
 
-def _reversal_peak(engine, k):
-    tracemalloc.start()
-    try:
-        prover = Prover(MD5, k, bytes(16), engine)
-        for _ in range(1 << k):
-            prover.next_value()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _reversal(engine, k):
+    prover = Prover(MD5, k, bytes(16), engine)
+    for _ in range(1 << k):
+        prover.next_value()
 
 
 @pytest.mark.parametrize("engine", ["auto", "framework"])
@@ -227,7 +207,7 @@ def test_prover_peak_memory_grows_by_bytes_per_order(engine):
     # set-up and a whole reversal hold O(k) values: a few hundred bytes per
     # order; a table of even one bit per chain position adds more than 512 B
     # per order between k = 11 and 14
-    peaks = [_reversal_peak(engine, k) for k in (8, 11, 14)]
+    peaks = [peak_bytes(lambda: _reversal(engine, k)) for k in (8, 11, 14)]
     for small, large in zip(peaks, peaks[1:]):
         assert large - small <= 3 * 512, peaks
 
@@ -299,13 +279,8 @@ def test_framework_prover_golden_digest(family):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("k", range(11))
 def test_framework_prover_setup_costs_only_its_hashes(family, k):
-    calls = [0]
-
-    def fn(v):
-        calls[0] += 1
-        return MIX.fn(v)
-
-    Prover(Owf(MIX.name, MIX.width, fn), k, SEED, "framework", family)
+    fn, calls = counting(MIX)
+    Prover(fn, k, SEED, "framework", family)
     # 2^k - 1 set-up hashes, whatever the family, and one for the endpoint
     assert calls[0] == (1 << k) - 1 + 1
 
@@ -320,10 +295,7 @@ def test_first_release_is_the_engines_free_round(engine):
         prover = Prover(MIX, k, SEED, engine)
         pebbler = prover.pebbler
         assert prover.endpoint == iterate(MIX, SEED, 1 << k)
-        if isinstance(pebbler, Pebbler):
-            assert (pebbler.r, pebbler.storage()) == (1 << k, k + 1)
-        else:
-            assert (pebbler.r, len(pebbler.z) - pebbler.z.count(None)) == (1 << k, k + 1)
+        assert (pebbler.r, pebbler.storage()) == (1 << k, k + 1)
         first = pebbler.peek()
         assert prover.next_value() == first == iterate(MIX, SEED, (1 << k) - 1)
         assert (prover.last_hashes, prover.released) == (0, 1)
@@ -474,12 +446,8 @@ def test_every_err_reason_is_documented_once():
 
 @pytest.fixture()
 def server():
-    srv = IdentificationServer(MIX, "127.0.0.1", 0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    with serving(MIX) as srv:
+        yield srv
 
 
 def _talk(port, lines):
@@ -676,8 +644,7 @@ def test_wire_counts_out_a_session_whose_thread_never_starts(monkeypatch):
                 patch.setattr(threading.Thread, "start", _refuse_to_start)
                 srv.handle_request()  # socketserver reports the error and closes
             assert conn.recv(64) == b""
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
+        threading.Thread(target=srv.serve_forever, args=(POLL_INTERVAL,), daemon=True).start()
         monkeypatch.setattr(protocol, "MAX_SESSIONS", 1)
         assert _send_raw(port, register) == "OK 0"
     finally:
@@ -715,14 +682,13 @@ def test_client_connection_failure():
 
 def test_client_spends_no_hash_on_a_closed_port():
     # it dials before the set-up, so an unreachable server costs no hash
-    calls = []
-    counted = Owf("counted", MIX.width, lambda v: calls.append(v) or MIX.fn(v))
+    counted, calls = counting(MIX)
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         free_port = probe.getsockname()[1]
     lines = []
     status = run_client(counted, 10, SEED, "127.0.0.1", free_port, 1, report=lines.append)
-    assert (status, len(calls)) == (1, 0)
+    assert (status, calls[0]) == (1, 0)
     assert len(lines) == 1 and lines[0].startswith("connection failed: ")
 
 

@@ -1,12 +1,16 @@
 """Scripts under scripts/ run from a plain checkout, as the README shows."""
 
+import gc
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from chainpebble.cli import default_seed
+from chainpebble.owf import builtin
 from chainpebble.schedule import FAMILIES
+from harness import Discard, peak_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +41,21 @@ def _script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_pebbler_panels_prints_rows_as_they_come(monkeypatch):
+    # no list of 2^(k+1) rows is held: from k = 8 to 14 the panel's peak
+    # grows by the trace's O(k) frontier, not by the 2^15 rows' megabytes
+    panels = _script("pebbler_panels")
+    owf = builtin("md5")  # hashed in C: traced, about half the time of testmix64
+    seed = default_seed(owf)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    panels.print_panel(owf, "optimal", 8, seed)  # first-call allocations
+    gc.collect()
+    small = peak_bytes(lambda: panels.print_panel(owf, "optimal", 8, seed))
+    gc.collect()
+    large = peak_bytes(lambda: panels.print_panel(owf, "optimal", 14, seed))
+    assert large - small < 64 * 1024, (small, large)
 
 
 def _bench_module():
