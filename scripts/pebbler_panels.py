@@ -4,8 +4,8 @@
 For the chosen order k, each family gets a column triple: the set-up budget
 or reversal work spent that round, the live pebble count at the start of the
 round, and the emitted chain element's index if any.  A summary table of
-worst-case work and storage across orders follows, next to the predicted
-bounds max(k+1, 2k-2), k+1, k-1 and ceil(k/2).
+worst-case work and storage across orders follows, next to the bounds that
+``chainpebble.checks.BOUNDS`` predicts.
 """
 
 import argparse
@@ -16,6 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))  # run from a checkout without installing
 
+from chainpebble.checks import BOUNDS  # noqa: E402
 from chainpebble.cli import VERIFY_K_MAX, default_seed, upto  # noqa: E402
 from chainpebble.inplace import MAX_K  # noqa: E402
 from chainpebble.owf import OWF_NAMES, builtin  # noqa: E402
@@ -41,6 +42,7 @@ def print_summary(owf, seed, k_max):
     for family in FAMILIES:
         header += f" | {family:>16}"
     print(header + " |   speed1-pred  speed2/opt-pred  opt-work-pred")
+    speed1, optimal = BOUNDS["speed1"], BOUNDS["optimal"]
     for k in range(1, k_max + 1):
         line = f"{k:>3}"
         for family in FAMILIES:
@@ -50,7 +52,8 @@ def print_summary(owf, seed, k_max):
                 if row.round > 1 << k:  # a reversal round
                     work = max(work, row.hashes)
             line += f" | w={work:>2} s={store:>2}   "
-        line += f" |   s={max(k + 1, 2 * k - 2):>2}        s={k + 1:>2}            w={(k + 1) // 2:>2}"
+        line += (f" |   s={speed1.storage(k):>2}        s={optimal.storage(k):>2}"
+                 f"            w={optimal.work(k):>2}")
         print(line)
 
 

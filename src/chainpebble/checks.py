@@ -1,14 +1,17 @@
 """The paper's guarantees as checks, shared by ``chainpebble verify`` and the tests.
 
-Each check covers the orders it is given and raises ``CheckFailed`` at the
-first counterexample, naming the family, k and, where there is one, the
-round; none is an ``assert``, which ``python -O`` strips.  Checks reach the
-code under test through module attributes, so a monkeypatched fault shows.
+``BOUNDS`` is the one statement of each family's exact peaks, reversal work
+and storage as functions of k; the checks and ``scripts/pebbler_panels.py``
+read it.  Each check covers the orders it is given and raises
+``CheckFailed`` at the first counterexample, naming the family, k and, where
+there is one, the round; none is an ``assert``, which ``python -O`` strips.
+Checks reach the code under test through module attributes, so a
+monkeypatched fault shows.
 """
 
 import random
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import inplace, pebbler, protocol, schedule
 from .owf import Owf
@@ -29,6 +32,17 @@ FIXTURES = {
 }
 
 
+# each family's exact peaks as functions of k: the most hashes one reversal
+# round spends (k >= 1), and the most values held at a round's start
+Peaks = NamedTuple("Peaks", [("work", Callable[[int], int]), ("storage", Callable[[int], int])])
+BOUNDS = {
+    "rushing": Peaks(lambda k: (1 << k >> 1) - 1, lambda k: k + 1),
+    "speed1": Peaks(lambda k: k - 1, lambda k: max(k + 1, 2 * k - 2)),
+    "speed2": Peaks(lambda k: k - 1, lambda k: k + 1),
+    "optimal": Peaks(lambda k: (k + 1) // 2 if k >= 2 else 0, lambda k: k + 1),
+}
+
+
 class CheckFailed(Exception):
     """A guarantee does not hold; the message names the counterexample."""
 
@@ -43,11 +57,13 @@ def _same(got: list, want: list, where: str, first_round: int) -> None:
 
 
 def schedule_sums(ks: Iterable[int]) -> None:
-    """Every family's set-up budgets sum to 2^k - 1."""
+    """Every family's set-up has 2^k - 1 budgets, none negative, summing to 2^k - 1."""
     for k in ks:
         for family in schedule.FAMILIES:
-            if sum(schedule.make_schedule(family, k)) != (1 << k) - 1:
+            t = schedule.make_schedule(family, k)
+            if len(t) != (1 << k) - 1 or min(t, default=0) < 0 or sum(t) != (1 << k) - 1:
                 raise CheckFailed(f"{family} k={k}")
+            del t  # so that the next family's 2^k budgets are not listed beside these
 
 
 def closed_form_fixtures(ks: Iterable[int]) -> None:
@@ -58,11 +74,16 @@ def closed_form_fixtures(ks: Iterable[int]) -> None:
 
 
 def rounding(ks: Iterable[int]) -> None:
-    """Parity rounding of the exact half-integer schedule gives the integer one."""
+    """Parity rounding of the exact half-integer schedule gives the integer
+    one, and moves no budget by more than a half."""
     for k in ks:
         halves = schedule.unrounded_optimal(k)  # raises if the constructions disagree
-        _same(schedule.parity_round(halves, k), schedule.make_schedule("optimal", k),
-              f"optimal k={k}", 1)
+        t = schedule.make_schedule("optimal", k)
+        _same(schedule.parity_round(halves, k), t, f"optimal k={k}", 1)
+        for r, (b, d) in enumerate(zip(t, halves), 1):
+            if abs(2 * b - d) > 1:
+                raise CheckFailed(f"optimal k={k} round {r}: rounded by more than a half")
+        del t  # so that the next order's budgets are not listed beside these
 
 
 def key_equation(ks: Iterable[int]) -> None:
@@ -73,15 +94,13 @@ def key_equation(ks: Iterable[int]) -> None:
 
 
 def work_bounds(ks: Iterable[int]) -> None:
-    """Speed-1 and speed-2 peak at k-1 hashes a round; optimal peaks at the
-    ceil(k/2) floor, and no family goes below it."""
+    """Each family's reversal work peaks at its ``BOUNDS`` entry, and none
+    peaks below optimal's, the ceil(k/2) floor."""
     for k in ks:
-        floor = (k + 1) // 2 if k >= 2 else 0
-        peaks = {"speed1": k - 1, "speed2": k - 1, "optimal": floor}
         for family in schedule.FAMILIES:
             w = schedule.work_sequence(family, k)
             top = max(w)
-            if top < floor or top != peaks.get(family, top):
+            if top < BOUNDS["optimal"].work(k) or top != BOUNDS[family].work(k):
                 r = (1 << k) + 1 + w.index(top)
                 raise CheckFailed(f"{family} k={k} round {r}: {top} hashes")
 
@@ -95,15 +114,14 @@ def oracle_reversal(owf: Owf, seed: bytes, ks: Iterable[int]) -> None:
 
 
 def storage_bounds(owf: Owf, seed: bytes, ks: Iterable[int]) -> None:
-    """Measured storage: 1 value in round 1 and k+1 in round 2^k; the peak is
-    max(k+1, 2k-2) for speed-1 and k+1 for speed-2 and optimal."""
+    """Measured storage: 1 value in round 1 and k+1 in round 2^k, and the
+    peak is the family's ``BOUNDS`` entry."""
     for k in ks:
-        peaks = {"speed1": max(k + 1, 2 * k - 2), "speed2": k + 1, "optimal": k + 1}
         for family in schedule.FAMILIES:
             rows = pebbler.run_trace(owf, family, k, seed)
             top = max(rows, key=lambda row: row.storage)
             for row, want in ((rows[0], 1), (rows[(1 << k) - 1], k + 1),
-                              (top, peaks.get(family, top.storage))):
+                              (top, BOUNDS[family].storage(k))):
                 if row.storage != want:
                     raise CheckFailed(f"{family} k={k} round {row.round}: {row.storage} values")
 
@@ -142,12 +160,8 @@ def counter_decoding(owf: Owf, seed: bytes, ks: Iterable[int]) -> None:
             if [d.index for d in decoded] != [i for i, _ in live]:
                 raise CheckFailed(f"{where}: orders")
             for d, (i, rho) in zip(decoded, live):
-                if rho == 1 << i:
-                    phase = inplace.FIRST_OUTPUT
-                elif i >= 1 and rho <= 1 << (i - 1):
-                    phase = inplace.IDLE
-                else:
-                    phase = inplace.HASHING
+                phase = (inplace.FIRST_OUTPUT if rho == 1 << i else
+                         inplace.IDLE if i >= 1 and rho <= 1 << (i - 1) else inplace.HASHING)
                 if d.local_counter != (1 << (i + 1)) - rho or d.phase != phase:
                     raise CheckFailed(f"{where}: order {i}")
             for i, doubled in inplace.segment_budgets(k, c):
@@ -190,7 +204,7 @@ def inplace_scale(variants: Iterable[str]) -> None:
     k = schedule.MAX_K
     for variant in variants:
         rule, rng = schedule.RULES[variant], random.Random(30)
-        peak = (k + 1) // 2 if variant == "optimal" else k - 1
+        peak = BOUNDS[variant].work(k)
         for r in sorted(rng.randrange(1 << k, 2 << k) for _ in range(40)):
             c0, where = (2 << k) - r, f"{variant} k={k} restored at round {r}"
             # per round: position c - 1, and the budgets of the sub-pebblers in set-up

@@ -295,6 +295,40 @@ def test_each_check_catches_its_fault(name, monkeypatch):
         check()
 
 
+def _raise_peak(w):
+    i = w.index(max(w))
+    return w[:i] + [w[i] + 1] + w[i + 1:]
+
+
+def test_work_bounds_checks_rushing_exactly(monkeypatch):
+    # one hash over rushing's 2^(k-1) - 1 stays above the ceil(k/2) floor
+    monkeypatch.setattr(schedule, "work_sequence", _corrupt(
+        schedule.work_sequence, lambda family, k: family == "rushing", _raise_peak))
+    with pytest.raises(checks.CheckFailed, match="rushing k=1 "):
+        checks.work_bounds(range(1, 7))
+
+
+def test_storage_bounds_checks_rushing_exactly(monkeypatch):
+    # rushing holds k values in round 2^k + 1, neither endpoint; k + 2 is over its peak
+    good = pebbler.Pebbler.storage
+    monkeypatch.setattr(pebbler.Pebbler, "storage", lambda self: good(self) + 2 * (
+        self.family == "rushing" and self.r == (1 << self.k) + 1))
+    with pytest.raises(checks.CheckFailed, match="rushing k=1 round 3: 3 values"):
+        checks.storage_bounds(MIX, cli.default_seed(MIX), range(1, 7))
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda t: [t[0] - 1, *t[1:-1], t[-1] + 1], id="negative-budget"),
+    pytest.param(lambda t: t + [0], id="extra-round"),
+])
+def test_schedule_sums_checks_length_and_sign(change, monkeypatch):
+    monkeypatch.setattr(schedule, "make_schedule", _corrupt(
+        schedule.make_schedule, lambda family, k: family == "speed2" and k == 3, change))
+    assert sum(schedule.make_schedule("speed2", 3)) == 7  # the sum alone passes
+    with pytest.raises(checks.CheckFailed, match="speed2 k=3"):
+        checks.schedule_sums(range(21))
+
+
 def test_serve_and_client_loopback(capsys):
     with serving(builtin("md5")) as server:
         port = server.server_address[1]

@@ -1,4 +1,4 @@
-"""Schedule families, the exact half-integer identities, and work bounds."""
+"""Schedule families, the exact half-integer identities, and work sequences."""
 
 import math
 
@@ -11,7 +11,6 @@ from chainpebble.schedule import (
     budget,
     format_halves,
     image_deficit,
-    key_equation_holds,
     make_schedule,
     optimal_remaining,
     parity_round,
@@ -22,14 +21,6 @@ from chainpebble.schedule import (
     work_sequence,
     work_sequence_half,
 )
-
-OPTIMAL_FIXTURES = {
-    0: [],
-    1: [1],
-    2: [0, 1, 2],
-    3: [0, 0, 0, 2, 1, 2, 2],
-    4: [0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 2, 2, 2, 3],
-}
 
 # head/tail halves of the active optimal budgets, doubled (3 means 3/2)
 HEAD_FIXTURES = {
@@ -50,11 +41,6 @@ TAIL_FIXTURES = {
     7: [8, 6, 5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3,
         8, 6, 5, 5, 4, 4, 4, 4, 8, 6, 5, 5, 8, 6, 8, 8],
 }
-
-
-@pytest.mark.parametrize("k,want", OPTIMAL_FIXTURES.items())
-def test_optimal_closed_form_fixtures(k, want):
-    assert make_schedule("optimal", k) == want
 
 
 def test_speed2_fixture():
@@ -78,15 +64,6 @@ def test_unknown_family_rejected():
         make_schedule("fibonacci", 3)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("k", range(21))
-def test_budgets_sum_to_chain_length_minus_one(family, k):
-    t = make_schedule(family, k)
-    assert len(t) == (1 << k) - 1
-    assert sum(t) == (1 << k) - 1
-    assert all(x >= 0 for x in t)
-
-
 @pytest.mark.parametrize("k", sorted(HEAD_FIXTURES))
 def test_head_tail_fixtures(k):
     assert unrounded_head(k) == HEAD_FIXTURES[k]
@@ -104,15 +81,6 @@ def test_unrounded_fixtures():
     assert unrounded_optimal(2) == [0, 3, 3]
     assert unrounded_optimal(3) == [0, 0, 0, 4, 2, 4, 4]  # already integral
     assert sum(unrounded_optimal(6)) == 2 * 63  # doubled exact sum
-
-
-@pytest.mark.parametrize("k", range(2, 15))
-def test_recursive_equals_explicit_and_rounds_to_closed_form(k):
-    halves = unrounded_optimal(k)  # internal recursive-vs-explicit check
-    assert parity_round(halves, k) == make_schedule("optimal", k)
-    # rounding moves nothing by more than one half (doubled: by more than 1)
-    for r, (d, t) in enumerate(zip(halves, make_schedule("optimal", k)), 1):
-        assert abs(2 * t - d) <= 1, (k, r)
 
 
 @pytest.mark.parametrize("k", range(2, 15))
@@ -200,22 +168,6 @@ def test_work_sequence_half_fixtures():
     assert work_sequence_half(1) == [0]
     assert work_sequence_half(2) == [2, 0, 0]
     assert work_sequence_half(3) == [2, 3, 3, 0, 2, 0, 0]
-
-
-@pytest.mark.parametrize("k", range(1, 15))
-def test_work_bounds(k):
-    assert max(work_sequence("speed1", k)) == k - 1
-    assert max(work_sequence("speed2", k)) == k - 1
-    if k >= 2:
-        ceil_half = (k + 1) // 2
-        assert max(work_sequence("optimal", k)) == ceil_half
-        for family in FAMILIES:
-            assert max(work_sequence(family, k)) >= ceil_half
-
-
-@pytest.mark.parametrize("k", range(2, 15))
-def test_key_equation(k):
-    assert key_equation_holds(k)
 
 
 def test_key_equation_breaks_under_mutation():

@@ -3,10 +3,12 @@
 import gc
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from chainpebble.checks import BOUNDS
 from chainpebble.cli import default_seed
 from chainpebble.owf import builtin
 from chainpebble.schedule import FAMILIES
@@ -56,6 +58,26 @@ def test_pebbler_panels_prints_rows_as_they_come(monkeypatch):
     gc.collect()
     large = peak_bytes(lambda: panels.print_panel(owf, "optimal", 14, seed))
     assert large - small < 64 * 1024, (small, large)
+
+
+def _numbers(cell):
+    return [int(v) for v in re.findall(r"[ws]=\s*(\d+)", cell)]
+
+
+def test_pebbler_panels_summary_is_the_bounds_table(capsys):
+    # each family's measured peaks and each predicted column, k = 1 included
+    owf = builtin("testmix64")
+    _script("pebbler_panels").print_summary(owf, default_seed(owf), 3)
+    rows = [line.split("|") for line in capsys.readouterr().out.splitlines()
+            if line[:3].strip().isdigit()]
+    assert [int(row[0]) for row in rows] == [1, 2, 3]
+    for k, (_, *measured, predicted) in enumerate(rows, 1):
+        for family, cell in zip(FAMILIES, measured, strict=True):
+            assert _numbers(cell) == [BOUNDS[family].work(k), BOUNDS[family].storage(k)]
+        # one storage column stands for speed2 and optimal
+        assert BOUNDS["speed2"].storage(k) == BOUNDS["optimal"].storage(k)
+        assert _numbers(predicted) == [BOUNDS["speed1"].storage(k),
+                                       BOUNDS["speed2"].storage(k), BOUNDS["optimal"].work(k)]
 
 
 def _bench_module():
