@@ -61,6 +61,12 @@ def test_reverse_oracle_shape():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", range(13))
+def test_reversal_matches_oracle(family, k):
+    assert run_outputs(MIX, family, k, SEED) == reverse_oracle(MIX, k, SEED)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_reversal_exhaustive_small_orders(family):
     for seed_int in range(256):
         seed = seed_int.to_bytes(8, "big")
@@ -133,6 +139,14 @@ def test_spot_round_budgets():
 def test_storage_golden_columns(family):
     rows = run_trace(MIX, family, 4, SEED)
     assert [row.storage for row in rows] == STORAGE_COLUMNS_K4[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", range(1, 13))
+def test_storage_endpoints(family, k):
+    rows = run_trace(MIX, family, k, SEED)
+    assert rows[0].storage == 1
+    assert rows[(1 << k) - 1].storage == k + 1
 
 
 @pytest.mark.parametrize("k", range(13))

@@ -64,6 +64,15 @@ def test_unknown_family_rejected():
         make_schedule("fibonacci", 3)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", range(21))
+def test_budgets_sum_to_chain_length_minus_one(family, k):
+    t = make_schedule(family, k)
+    assert len(t) == (1 << k) - 1
+    assert sum(t) == (1 << k) - 1
+    assert all(x >= 0 for x in t)
+
+
 @pytest.mark.parametrize("k", sorted(HEAD_FIXTURES))
 def test_head_tail_fixtures(k):
     assert unrounded_head(k) == HEAD_FIXTURES[k]
