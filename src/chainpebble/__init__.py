@@ -29,7 +29,6 @@ from .pebbler import (
 from .protocol import IdentificationServer, Prover, Verifier, run_client
 from .schedule import (
     FAMILIES,
-    format_halves,
     image_deficit,
     key_equation_holds,
     make_schedule,

@@ -44,10 +44,9 @@ and the digest ``EVP_MD_fetch`` returns (OpenSSL 3).  A call
 costs about 2-3 us on top of its hashes, so ``pebbler._fill`` hands a run
 to the kernel only when it is at least ``KERNEL_MIN`` = 32 hashes long
 (break-even is about 20).  That covers a set-up's whole slots, 2^(k-1)
-down to 32 hashes, and no optimal, speed-2 or speed-1 round: their budgets
-are at most ceil(k/2) <= 15 at any order the engines take (k <= 30,
-``schedule.MAX_K``, which every engine checks before it hashes), so
-round streams, hash counts and timings are those of the Python countdown.
+down to 32 hashes, and no optimal, speed-2 or speed-1 round, as the
+comment on ``KERNEL_MIN`` states, so their round streams, hash counts and
+timings are those of the Python countdown.
 ``iterate`` stays the plain countdown.  ``ctypes`` releases the GIL for
 a call and each call makes its own output buffer (and Davies-Meyer its
 own context), so both are re-entrant.  A handle over any other
@@ -176,9 +175,18 @@ def _md5_block(x: bytes) -> bytes:
 
 
 # Shortest run handed to a kernel: above the ~20-hash break-even of its
-# ~2 us call, and above ceil(30/2) = 15, the largest budget an optimal round
-# spends at any order the engines take (k <= schedule.MAX_K = 30), so no such
-# round reaches a kernel.
+# ~2 us call.  A round fills each sub-pebbler apart, by at most its budget,
+# so a round reaches the kernel only if one order-j sub-pebbler spends 32
+# hashes or more in it.  At every j <= schedule.MAX_K = 30, the most one
+# spends is:
+#   optimal  floor(j/2) + 1, its last set-up budget (16 at j = 30);
+#   speed-2  2;
+#   speed-1  1;
+#   rushing  2^j - 1, in its last set-up round: 32 or more from j = 6.
+# So only rushing rounds reach the kernel, besides a set-up run as one fill
+# (its whole slots, 2^(k-1) down to 32 hashes).  A round's total is larger,
+# up to k - 1 for speed-1 and speed-2 (checks.BOUNDS), but split among its
+# sub-pebblers.
 KERNEL_MIN = 32
 
 

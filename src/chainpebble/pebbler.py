@@ -10,14 +10,18 @@ The net effect: the chain seed, f(seed), ..., f^(2^k-1)(seed) comes out in
 reverse, one element per round over the last 2^k rounds.
 
 The tree is kept flat: ``Pebbler.children`` is the frontier of runs (the
-sub-pebblers still holding values), highest order first.  The root is an
-ordinary run whose local round is the pebbler's, so one frontier loop steps
-the set-up rounds, in which the root runs alone and nothing emits, and the
-reversal rounds alike.  The run at its hand-off is always the last: it is
-popped and its children appended.  A hand-off allocates runs only for the
-children that will hash, orders k-1..1; the popped run itself becomes the
-order-0 child, a pinned value emitted next round, so a reversal of order k
-builds 2^(k-1) - 1 runs, not 2^k - 1.
+sub-pebblers still holding values), highest order first.  ``Pebbler.r`` is
+the one counter a round advances, as the countdown c is the in-place
+steppers'.  Each run keeps ``base``, the pebbler round just before its local
+round 1, and never changes it: 0 for the root, the hand-off round for every
+child built there, so its local round is r - base.  The root is an ordinary
+run, so one frontier loop steps the set-up rounds, in which the root runs
+alone and nothing emits, and the reversal rounds alike.  The run at its
+hand-off is always the last: it is popped and its children appended.  A
+hand-off allocates runs only for the children that will hash, orders
+k-1..1; the popped run itself becomes the order-0 child, a pinned value
+emitted next round, so a reversal of order k builds 2^(k-1) - 1 runs, not
+2^k - 1.
 
 Storage accounting counts live values only: a slot being filled counts as
 one value, a slot handed to a child as its seed counts once (hand-off, never
@@ -32,14 +36,14 @@ keyed by the hashes a frontier owes plus one; the root's set-up owes 2^k - 1
 whatever the family, so ``finish_setup`` runs it as one fill.  The fill
 hands a slot's share of ``owf.KERNEL_MIN`` (32) hashes or more to the
 one-way function's kernel when it has one (the built-in md5's libcrypto
-loop), so set-up's whole slots, 2^(k-1) down to 32 hashes, run in C; an
-optimal, speed-2 or speed-1 round spends at most ceil(k/2) <= 15 hashes and
-never reaches it, and without a kernel every share is the Python
-countdown, with identical values.  Widths are checked at the boundary, the
-seed once at construction, through ``Owf.as_value`` (whose docstring states
-the value rule); one-way function outputs need no check, since
-``owf`` makes every ``owf.fn`` width-exact.  Every value hashed or emitted
-is therefore of the function's width.
+loop), so set-up's whole slots, 2^(k-1) down to 32 hashes, run in C; the
+comment on ``owf.KERNEL_MIN`` states which rounds never reach it, and
+without a kernel every share is the Python countdown, with identical
+values.  Widths are checked at the boundary, the seed once at
+construction, through ``Owf.as_value`` (whose docstring states the value
+rule); one-way function outputs need no check, since ``owf`` makes every
+``owf.fn`` width-exact.  Every value hashed or emitted is therefore of the
+function's width.
 """
 
 import json
@@ -72,8 +76,8 @@ def _fill(owf: Owf, z: list, rem: int, n: int) -> None:
     call beyond the values it hashes (no ``range``), since most calls spend
     only one or two hashes.  A share of at least ``owf.KERNEL_MIN`` (32)
     hashes goes to the handle's kernel instead, when it has one (the
-    built-in md5's libcrypto loop): set-up's slots 5 and up.  No optimal,
-    speed-2 or speed-1 round spends that many, so rounds keep the countdown.
+    built-in md5's libcrypto loop): set-up's slots 5 and up.  The comment
+    on ``owf.KERNEL_MIN`` states which rounds keep the countdown.
     """
     fn = owf.fn
     m = rem.bit_length() - 1
@@ -119,18 +123,21 @@ class TraceRow:
 
 
 class _Run:
-    """A live sub-pebbler: its order, local round, seed and fill frontier.
+    """A live sub-pebbler: its order, base round, seed and fill frontier.
 
-    ``slots`` stays None until the run's first nonzero budget, when
-    ``pin()`` gives it k+1 slots with the seed on top; a run that has not
-    hashed holds its seed alone.
+    ``base`` is the pebbler round just before the run's local round 1, so
+    in pebbler round r the run is in its local round r - base.  After
+    creation a run changes only ``slots`` and ``rem``, except when its
+    hand-off reuses it as its order-0 child.  ``slots`` stays None until
+    the run's first nonzero budget, when ``pin()`` gives it k+1 slots with
+    the seed on top; a run that has not hashed holds its seed alone.
     """
 
-    __slots__ = ("k", "round_no", "seed", "slots", "rem")
+    __slots__ = ("k", "base", "seed", "slots", "rem")
 
-    def __init__(self, k: int, seed: bytes):
+    def __init__(self, k: int, seed: bytes, base: int):
         self.k = k
-        self.round_no = 1
+        self.base = base
         self.seed = seed
         self.slots = None
         self.rem = 1 << k  # set-up hashes still owed, plus one
@@ -158,7 +165,7 @@ class Pebbler:
         self.k = k
         self.lifetime = (1 << (k + 1)) - 1
         self.r = 1
-        self.children = [_Run(k, seed)]  # frontier; the root is a run like any other
+        self.children = [_Run(k, seed, 0)]  # frontier; the root is a run like any other
         self._rule = rule
 
     @property
@@ -196,7 +203,7 @@ class Pebbler:
         else:
             # the run at its hand-off is the lowest order, which sits last
             emitter = frontier.pop() if frontier else None
-            if emitter is None or emitter.round_no < 1 << emitter.k:
+            if emitter is None or r - emitter.base < 1 << emitter.k:
                 raise RuntimeError("exactly one run hands off per round")
             k = emitter.k
             z = emitter.slots
@@ -208,8 +215,7 @@ class Pebbler:
                 out = z[0]
         hashes = 0
         for run in frontier:
-            q = run.round_no
-            run.round_no = q + 1
+            q = r - run.base
             if q >= 1 << run.k:
                 raise RuntimeError("exactly one run hands off per round")
             spent = rule(run.k, q)
@@ -219,10 +225,10 @@ class Pebbler:
                 hashes += spent
         if k:
             for j in range(k, 1, -1):
-                frontier.append(_Run(j - 1, z[j]))
+                frontier.append(_Run(j - 1, z[j], r))
             # the emitter becomes its order-0 child, which emits z[1] unhashed
             emitter.k = 0
-            emitter.round_no = 1
+            emitter.base = r
             emitter.seed = z[1]
             emitter.slots = None
             emitter.rem = 1
@@ -239,7 +245,7 @@ class Pebbler:
         n = run.rem - 1
         _fill(self.owf, run.slots or run.pin(), run.rem, n)
         run.rem = 1
-        run.round_no = self.r = 1 << self.k
+        self.r = 1 << self.k
         return n
 
     def storage(self) -> int:
@@ -252,7 +258,7 @@ class Pebbler:
 
     def live_pebblers(self) -> list[tuple[int, int]]:
         """(order, local round) of every run on the frontier, highest order first."""
-        return [(run.k, run.round_no) for run in self.children]
+        return [(run.k, self.r - run.base) for run in self.children]
 
 
 def reverse_oracle(owf: Owf, k: int, seed: bytes) -> list[bytes]:

@@ -78,7 +78,7 @@ class Prover:
     A bad engine, family or order raises ``ValueError`` before any hash: the
     engine refuses an order outside 0..``MAX_K`` (``schedule.check_order``).
     ``last_hashes`` reports the work of the most recent release (at most
-    ceil(k/2) for optimal, k-1 for speed-2).  Exhaustion is the engine's:
+    the family's peak in ``checks.BOUNDS``).  Exhaustion is the engine's:
     after the 2^k-th release, its step raises ``ExhaustedError`` and
     changes nothing, so ``released`` stays 2^k.
 

@@ -2,18 +2,18 @@
 
 A pebbler of order k reverses a length-2^k chain over 2^(k+1)-1 rounds; a
 schedule fixes how many hashes it spends in each of its 2^k-1 set-up rounds,
-always summing to 2^k-1.  ``budget`` gives one round's budget in O(1), so a
-pebbler need not store its schedule; ``budgets`` yields them all in turn
-and ``make_schedule`` lists them.  Each checks its arguments once, the
-order through ``check_order``, the one statement of the orders every engine
-takes (0..``MAX_K``), then calls the family's raw rule in ``RULES``, as a
-pebbler does every round.  Four families are implemented:
+always summing to 2^k-1.  The family's raw rule in ``RULES`` gives one
+round's budget in O(1), so a pebbler need not store its schedule and calls
+it every round; ``budgets`` yields them all in turn and ``make_schedule``
+lists them.  Each checks its arguments once, the order through
+``check_order``, the one statement of the orders every engine takes
+(0..``MAX_K``), before it calls the rule.  Four families are implemented:
 
 - ``rushing``:  do nothing until the last set-up round, then hash flat out;
 - ``speed1``:   one hash per set-up round;
 - ``speed2``:   idle for the first half, then two hashes per round;
 - ``optimal``:  idle for the first half, then the closed-form budgets that
-  attain the ceil(k/2) worst-case work bound.
+  attain the worst-case work bound (``checks.BOUNDS`` states each family's).
 
 The optimal family also has a recursive construction over half-integers.
 Half-integer sequences are stored as doubled integers so all arithmetic stays
@@ -65,14 +65,6 @@ def _checked_rule(family: str, k: int):
     if family not in RULES:
         raise ValueError(f"unknown schedule family {family!r}")
     return RULES[family]
-
-
-def budget(family: str, k: int, r: int) -> int:
-    """Budget t_r of set-up round r (1 <= r < 2^k) for order k, in O(1)."""
-    rule = _checked_rule(family, k)
-    if not 0 < r < 1 << k:
-        raise ValueError(f"set-up round must satisfy 1 <= r < 2^k, got r={r} for k={k}")
-    return rule(k, r)
 
 
 def budgets(family: str, k: int) -> Iterator[int]:
@@ -216,8 +208,3 @@ def image_deficit(n: int) -> float:
     for _ in range(n):
         d = math.exp(-1.0 + d)
     return d
-
-
-def format_halves(halves: list[int]) -> str:
-    """Render a doubled sequence, printing odd entries as 'n/2'."""
-    return ",".join(str(d // 2) if d % 2 == 0 else f"{d}/2" for d in halves)

@@ -20,7 +20,7 @@ from chainpebble.pebbler import (
     trace_jsonl_lines,
 )
 from chainpebble.inplace import STEPPERS
-from chainpebble.schedule import FAMILIES, MAX_K, budget, budgets, work_sequence
+from chainpebble.schedule import FAMILIES, MAX_K, budgets, make_schedule, work_sequence
 from harness import counting, peak_bytes, widening
 
 MIX = builtin("testmix64")
@@ -183,8 +183,7 @@ def test_root_round_is_the_pebblers_until_its_handoff(family):
     for k in range(9):
         p = Pebbler(MIX, family, k, SEED)
         while not p.redundant:
-            [root] = p.children
-            assert (root.k, root.round_no) == (k, p.r), (k, p.r)
+            assert p.live_pebblers() == [(k, p.r)], (k, p.r)
             p.step()
 
 
@@ -300,7 +299,7 @@ def _past_handoff(k):
 
 def test_two_runs_at_their_handoff_fail_loudly():
     p = _past_handoff(3)
-    p.children[0].round_no = 1 << 2  # order 2 jumps to its hand-off beside order 0's
+    p.children[0].base = p.r - (1 << 2)  # order 2 jumps to its hand-off beside order 0's
     with pytest.raises(RuntimeError, match="exactly one run"):
         p.step()
 
@@ -309,7 +308,7 @@ def test_setup_round_that_would_emit_fails_loudly():
     # order 1 skips its set-up round and is alone at its hand-off: its slot 0
     # was never pinned, so emitting it would release nothing
     p = _past_handoff(3)
-    p.children[1].round_no = 2
+    p.children[1].base = p.r - 2
     del p.children[2]
     with pytest.raises(RuntimeError, match="set-up unfinished"):
         p.step()
@@ -411,7 +410,7 @@ def test_every_engine_takes_orders_0_to_max_k_only(k):
         with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
             budgets(family, k)
         with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
-            budget(family, k, 1)
+            make_schedule(family, k)
     for cls in STEPPERS.values():
         with pytest.raises(ValueError, match=f"order k must be 0..{MAX_K}"):
             cls(owf, k, SEED)

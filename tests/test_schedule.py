@@ -5,11 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from chainpebble.owf import KERNEL_MIN
 from chainpebble.schedule import (
     FAMILIES,
+    MAX_K,
     RULES,
-    budget,
-    format_halves,
     image_deficit,
     make_schedule,
     optimal_remaining,
@@ -95,7 +95,7 @@ def test_unrounded_fixtures():
 @pytest.mark.parametrize("k", range(2, 15))
 def test_optimal_budget_is_rounded_unrounded_schedule(k):
     want = parity_round(unrounded_optimal(k), k)
-    assert [budget("optimal", k, r) for r in range(1, 1 << k)] == want
+    assert make_schedule("optimal", k) == want
 
 
 def _literal_schedule(family, k):
@@ -114,26 +114,25 @@ def _literal_schedule(family, k):
 @pytest.mark.parametrize("k", range(13))
 def test_simple_budgets_match_literal_definitions(family, k):
     want = _literal_schedule(family, k)
-    assert [budget(family, k, r) for r in range(1, 1 << k)] == want
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_budget_rejects_rounds_outside_setup(family):
-    for k, r in [(0, 1), (3, 0), (3, 8), (3, -1), (-1, 1)]:
-        with pytest.raises(ValueError):
-            budget(family, k, r)
+    assert make_schedule(family, k) == want
 
 
 def test_rule_table_covers_exactly_the_families():
-    # budget() and every Pebbler dispatch through this table
+    # make_schedule() and every Pebbler dispatch through this table
     assert tuple(RULES) == FAMILIES
 
 
-def test_budget_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        budget("fibonacci", 3, 5)
-    with pytest.raises(ValueError):
-        make_schedule("fibonacci", 0)
+def test_only_rushing_rounds_reach_the_kernel():
+    # the most one sub-pebbler spends in one round, against the shortest run
+    # handed to the md5 kernel, as the comment on owf.KERNEL_MIN states it
+    for k in range(1, 17):
+        t = make_schedule("optimal", k)
+        assert max(t) == t[-1] == k // 2 + 1 < KERNEL_MIN, k
+        assert max(make_schedule("speed2", k)) <= 2 < KERNEL_MIN, k
+        assert max(make_schedule("speed1", k)) == 1, k
+        assert (max(make_schedule("rushing", k)) >= KERNEL_MIN) == (k >= 6), k
+    for k in range(1, MAX_K + 1):
+        assert RULES["optimal"](k, (1 << k) - 1) == k // 2 + 1 < KERNEL_MIN, k
 
 
 @pytest.mark.parametrize("family,i", [pytest.param("optimal", i, id=str(i)) for i in range(1, 17)]
@@ -214,8 +213,3 @@ def test_image_deficit_recurrence():
         values.append(d)
     for n in (2, 17, 500, 10000):
         assert image_deficit(n) == values[n]
-
-
-def test_format_halves():
-    assert format_halves([5, 3, 2, 2]) == "5/2,3/2,1,1"
-    assert format_halves([0, 4]) == "0,2"
