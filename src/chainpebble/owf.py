@@ -152,10 +152,9 @@ class Owf:
 
 
 def evaluate(owf: Owf, v: bytes) -> bytes:
-    """Apply the one-way function once; width in equals width out."""
-    if len(v) != owf.width:
-        raise WidthError(f"{owf.name} expects {owf.width} bytes, got {len(v)}")
-    return owf.fn(v)
+    """Apply the one-way function once to ``owf.as_value(v)``, which raises
+    WidthError on any other width; width in equals width out."""
+    return owf.fn(owf.as_value(v))
 
 
 def iterate(owf: Owf, v: bytes, m: int) -> bytes:
@@ -236,8 +235,8 @@ def _load_md5_kernel(ctypes, lib, cipher) -> Optional[Callable[[bytes, int], byt
 
     def run(v: bytes, count: int) -> bytes:
         out = block()  # one per call, so concurrent calls share nothing
-        v = bytes(v)  # a seed may be any bytes-like value, as for _md5
-        # the data length is the value's own, so the call never reads past it
+        # v is bytes, as every slot is (ctypes refuses a bytearray or str for
+        # the data), and its own length is passed, so nothing is read past it
         if bytes_to_key(cipher, md, None, v, len(v), count, out, None) != 16:
             raise RuntimeError("EVP_BytesToKey failed")
         return out.raw

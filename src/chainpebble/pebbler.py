@@ -172,11 +172,6 @@ class Pebbler:
     def exhausted(self) -> bool:
         return self.r > self.lifetime
 
-    @property
-    def redundant(self) -> bool:
-        """True once the children have taken over all stored values (after round 2^k)."""
-        return self.r > 1 << self.k
-
     def peek(self) -> Optional[bytes]:
         """The value the next round releases, read without stepping: the
         hand-off run's slot 0 (its seed at order 0); None in set-up rounds

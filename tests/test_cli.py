@@ -5,6 +5,8 @@ import json
 import socket
 import sys
 from dataclasses import replace
+from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,19 @@ def test_schedule_prints_comma_separated(capsys):
     status, out = run_cli(capsys, "schedule", "--family", "optimal", "--k", "4")
     assert status == 0
     assert out.strip() == "0,0,0,0,0,0,0,2,2,1,1,2,2,2,3"
+
+
+def test_console_script_is_cli_main(capsys):
+    # the chainpebble command that pyproject.toml declares, loaded as an
+    # installer's entry point would be
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and up
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"chainpebble": "chainpebble.cli:main"}
+    main = EntryPoint("chainpebble", scripts["chainpebble"], "console_scripts").load()
+    assert main is cli.main
+    assert main(["schedule", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "0,1,2\n"
 
 
 def test_trace_csv(capsys):

@@ -23,8 +23,8 @@ from chainpebble.inplace import (
 from chainpebble.owf import WidthError, builtin, evaluate, iterate
 from chainpebble.pebbler import ExhaustedError, Pebbler, reverse_oracle
 from chainpebble.protocol import Prover, Verifier
-from chainpebble.schedule import optimal_remaining, work_sequence
-from harness import counting, peak_bytes, widening
+from chainpebble.schedule import FAMILIES, MAX_K, RULES, optimal_remaining, work_sequence
+from harness import POSITION_KERNEL, counting, peak_bytes, widening
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -58,8 +58,9 @@ def test_decode_fixture_359():
 
 def test_decode_rejects_out_of_range():
     for c in (0, 512, 700):
-        with pytest.raises(ValueError):
-            decode_states(9, c)
+        for decode in (decode_states, segment_budgets):
+            with pytest.raises(ValueError):
+                decode(9, c)
 
 
 @given(st.integers(1, 11), st.data())
@@ -621,3 +622,29 @@ def test_inplace_at_max_order_from_closed_form(family):
     # restored at rounds sampled across order MAX_K's reversal, each window's
     # releases, hashes and end state against the closed form
     checks.inplace_scale([family])
+
+
+@pytest.mark.parametrize("engine", [*(f"framework-{f}" for f in FAMILIES), *sorted(STEPPERS)])
+def test_setup_at_max_order_on_every_engine(engine):
+    # a whole set-up at order MAX_K from seed 0, its slots of 32 hashes or
+    # more each one kernel call, then the first rounds against the closed
+    # form: each releases position c - 1 and spends the budgets of the
+    # sub-pebblers in set-up, read from RULES as inplace_scale reads them
+    k, family = MAX_K, engine.removeprefix("framework-")
+    rule, framework = RULES[family], engine.startswith("framework-")
+    if framework:
+        p = Pebbler(POSITION_KERNEL, family, k, bytes(8))
+        p.finish_setup()
+
+        def step():
+            res = p.step()
+            return res.output, res.hashes
+    else:
+        state = STEPPERS[family](POSITION_KERNEL, k, bytes(8))
+        step = state.step
+    for c in range(1 << k, (1 << k) - 5000, -1):
+        want = sum(rule(i, (1 << i) - c % (1 << i)) for i in range(k + 1)
+                   if c >> i & 1 and c % (1 << i))
+        assert step() == ((c - 1).to_bytes(8, "big"), want), c
+    if not framework:
+        assert save(state) == closed_form_blob(family, k, state.r)

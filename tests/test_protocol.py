@@ -1,6 +1,5 @@
 """Identification protocol: prover, verifier, and the line-based wire format."""
 
-import dataclasses
 import hashlib
 import re
 import socket
@@ -25,7 +24,7 @@ from chainpebble.protocol import (
     run_client,
 )
 from chainpebble.schedule import FAMILIES
-from harness import POLL_INTERVAL, counting, peak_bytes, serving
+from harness import POLL_INTERVAL, counting, peak_bytes, serving, with_kernel
 
 MIX = builtin("testmix64")
 MD5 = builtin("md5")
@@ -96,13 +95,6 @@ class CountingKernel:
         return MD5._kernel(v, n)
 
 
-def md5_with_kernel(kernel) -> Owf:
-    """The built-in md5 with its kernel replaced (None: the Python countdown)."""
-    owf = dataclasses.replace(MD5)
-    object.__setattr__(owf, "_kernel", kernel)
-    return owf
-
-
 def release_all(prover: Prover) -> tuple[list, list, list]:
     """Every release, its hash count and, in place, the saved state after it."""
     pebbler = prover.pebbler
@@ -125,13 +117,13 @@ def test_md5_kernel_path_is_byte_identical_and_set_up_only(engine):
     seed = hashlib.md5(b"kernel").digest()
     for k in range(1, 13):
         shim = CountingKernel()
-        fast = Prover(md5_with_kernel(shim), k, seed, engine)
+        fast = Prover(with_kernel(MD5, shim), k, seed, engine)
         assert shim.calls == max(k - 5, 0)
-        assert release_all(fast) == release_all(Prover(md5_with_kernel(None), k, seed, engine))
+        assert release_all(fast) == release_all(Prover(with_kernel(MD5, None), k, seed, engine))
         assert shim.calls == max(k - 5, 0)
     for k in range(13, 17):
         shim = CountingKernel()
-        prover = Prover(md5_with_kernel(shim), k, seed, engine)
+        prover = Prover(with_kernel(MD5, shim), k, seed, engine)
         assert shim.calls == k - 5
         for _ in range(1 << k):
             prover.next_value()
