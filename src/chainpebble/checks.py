@@ -16,11 +16,19 @@ from typing import Callable, Iterable, NamedTuple
 from . import inplace, pebbler, protocol, schedule
 from .owf import Owf
 
+
+def _advance(v: bytes, n: int = 1) -> bytes:
+    return ((int.from_bytes(v, "big") + n) % (1 << 64)).to_bytes(8, "big")
+
+
 # f(x) = x + 1 mod 2^64: from seed 0 every value is its own chain position,
 # so a state's slots can be written down for any round without hashing; not
-# one-way, which pebbling correctness does not need
-POSITION = Owf("position64", 8,
-               lambda v: ((int.from_bytes(v, "big") + 1) % (1 << 64)).to_bytes(8, "big"))
+# one-way, which pebbling correctness does not need.  Its kernel, (v, n) to
+# v + n mod 2^64, is the one handle besides md5's to carry one: a set-up at
+# any order then runs each share of ``owf.KERNEL_MIN`` hashes or more in
+# one call, as md5's does
+POSITION = Owf("position64", 8, _advance)
+object.__setattr__(POSITION, "_kernel", _advance)
 
 # make_schedule("optimal", k) for small k, as published
 FIXTURES = {
@@ -194,33 +202,52 @@ def closed_form_blob(family: str, k: int, r: int) -> bytes:
     return bytes([inplace.STEPPERS[family].code, k]) + r.to_bytes(4, "big") + body
 
 
-def inplace_scale(variants: Iterable[str]) -> None:
-    """At order ``MAX_K``, a stepper restored from ``closed_form_blob`` at 40
-    rounds drawn across the reversal steps min(300, c) rounds from each: it
-    releases each round's chain position, spends the family's budgets over
-    the live sub-pebblers' set-up rounds (read from ``schedule.RULES``,
-    which shares no code with the steps), at most the family's peak, and
-    ends in the closed form's state."""
+def _window(family: str, k: int, r: int, n: int, step: Callable[[], tuple], where: str) -> None:
+    """n rounds of ``step`` from round r (fewer where the reversal ends)
+    against the closed form over ``POSITION`` from seed 0: each round, with
+    countdown c = 2^(k+1) - r, releases position c - 1 and spends the
+    family's budgets over the sub-pebblers in set-up, the set bits i of c
+    with c mod 2^i > 0 (read from ``schedule.RULES``, which shares no code
+    with the engines), at most the family's ``BOUNDS`` peak."""
+    rule, c0, peak = schedule.RULES[family], (2 << k) - r, BOUNDS[family].work(k)
+    want = [((c - 1).to_bytes(8, "big"),
+             sum([rule(i, (1 << i) - c % (1 << i)) for i in range(k + 1)
+                  if c >> i & 1 and c % (1 << i)]))
+            for c in range(c0, max(c0 - n, 0), -1)]
+    _same([step() for _ in want], want, where + ",", r)
+    if max(h for _, h in want) > peak:
+        raise CheckFailed(f"{where}: over {peak} hashes")
+
+
+def _stepped(family: str, state, n: int, where: str) -> None:
+    """A stepper's window, ending in the closed form's state."""
+    _window(family, state.k, state.r, n, state.step, where)
+    if inplace.save(state) != closed_form_blob(family, state.k, state.r):
+        raise CheckFailed(f"{where}: state at round {state.r}")
+
+
+def max_order(engines: Iterable[str]) -> None:
+    """At order ``MAX_K``, each engine (``framework-<family>``, or a stepper
+    by its family) set up from seed 0 over ``POSITION``, in one fill through
+    its kernel, runs its first 5,000 rounds, and each stepper restored from
+    ``closed_form_blob`` at 40 rounds drawn across the reversal runs
+    min(300, c) rounds from each; ``_window`` checks every window."""
     k = schedule.MAX_K
-    for variant in variants:
-        rule, rng = schedule.RULES[variant], random.Random(30)
-        peak = BOUNDS[variant].work(k)
-        for r in sorted(rng.randrange(1 << k, 2 << k) for _ in range(40)):
-            c0, where = (2 << k) - r, f"{variant} k={k} restored at round {r}"
-            # per round: position c - 1, and the budgets of the sub-pebblers in set-up
-            want = [((c - 1).to_bytes(8, "big"),
-                     sum(rule(i, (1 << i) - c % (1 << i)) for i in range(k + 1)
-                         if c >> i & 1 and c % (1 << i)))
-                    for c in range(c0, max(c0 - 300, 0), -1)]
-            try:
-                state = inplace.restore(closed_form_blob(variant, k, r), POSITION)
-                _same([state.step() for _ in want], want, where + ",", r)
-            except pebbler.DecodeError as exc:
-                raise CheckFailed(f"{where}: {exc}") from None
-            if max(h for _, h in want) > peak:
-                raise CheckFailed(f"{where}: over {peak} hashes")
-            if inplace.save(state) != closed_form_blob(variant, k, state.r):
-                raise CheckFailed(f"{where}: state at round {state.r}")
+    for engine in engines:
+        family, where = engine.removeprefix("framework-"), f"{engine} k={k} set up"
+        try:
+            if family != engine:
+                p = protocol.Prover(POSITION, k, bytes(8), "framework", family)
+                _window(family, k, 1 << k, 5000, lambda: (p.next_value(), p.last_hashes), where)
+                continue
+            _stepped(family, inplace.STEPPERS[family](POSITION, k, bytes(8)), 5000, where)
+            rng = random.Random(30)
+            for r in sorted(rng.randrange(1 << k, 2 << k) for _ in range(40)):
+                where = f"{engine} k={k} restored at round {r}"
+                state = inplace.restore(closed_form_blob(family, k, r), POSITION)
+                _stepped(family, state, 300, where)
+        except pebbler.DecodeError as exc:
+            raise CheckFailed(f"{where}: {exc}") from None
 
 
 def suite(owf: Owf, seed: bytes, k_max: int) -> list[tuple[str, Callable[[], None]]]:
@@ -237,5 +264,6 @@ def suite(owf: Owf, seed: bytes, k_max: int) -> list[tuple[str, Callable[[], Non
         *((f"inplace-{v}-equivalence", partial(inplace_equivalence, owf, seed, v, to10))
           for v in inplace.STEPPERS),
         ("counter-decoding", partial(counter_decoding, owf, seed, range(1, min(k_max, 8) + 1))),
-        ("inplace-scale", partial(inplace_scale, inplace.STEPPERS)),  # at MAX_K, whatever k_max
+        ("max-order", partial(max_order, [  # at MAX_K, whatever k_max
+            *sorted(inplace.STEPPERS), *(f"framework-{f}" for f in schedule.FAMILIES)])),
     ]

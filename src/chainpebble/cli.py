@@ -38,7 +38,7 @@ from . import checks, owf, pebbler, protocol, schedule
 from .inplace import MAX_K
 
 # verify's schedule checks list 2^k budgets per family: about 6 s and
-# 70 MiB at k=20, each order doubling both
+# 60 MiB at k=20, each order doubling both
 VERIFY_K_MAX = 20
 # twice the longest chain's releases: room for all of them and a tampered round
 ROUNDS_MAX = 2 << MAX_K

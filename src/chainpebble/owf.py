@@ -50,7 +50,10 @@ timings are those of the Python countdown.
 ``iterate`` stays the plain countdown.  ``ctypes`` releases the GIL for
 a call and each call makes its own output buffer (and Davies-Meyer its
 own context), so both are re-entrant.  A handle over any other
-function, a metered or wrapped md5 included, carries no kernel.
+function, a metered or wrapped md5 included, carries no kernel, with one
+exception: ``checks.POSITION``, the position function the order-30 check
+runs on, whose kernel (v, n) to v + n mod 2^64 ``checks`` sets where it
+defines it.  A handle made over that one's function carries none either.
 
 Each is self-tested once, at import: the kernel against ``_md5_block``,
 Davies-Meyer against FIPS-197's zero-key answer and one pinned vector.
@@ -95,8 +98,9 @@ class Owf:
     ``fn`` is width-exact: unless it is a built-in's function at that
     built-in's width, construction replaces it by a wrapper that raises
     WidthError on an output of another width.  ``_kernel(v, n)``, set only
-    for md5's function at width 16 when the libcrypto kernel loaded, is
-    fn applied n times; it is not an argument and takes no part in equality.
+    for md5's function at width 16 when the libcrypto kernel loaded (and
+    on ``checks.POSITION``, by ``checks``), is fn applied n times; it is
+    not an argument and takes no part in equality.
     """
 
     name: str

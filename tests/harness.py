@@ -12,7 +12,6 @@ import io
 import threading
 import tracemalloc
 
-from chainpebble.checks import POSITION
 from chainpebble.owf import Owf
 from chainpebble.protocol import IdentificationServer
 
@@ -47,13 +46,6 @@ def with_kernel(owf, kernel):
     owf = dataclasses.replace(owf)
     object.__setattr__(owf, "_kernel", kernel)
     return owf
-
-
-# checks.POSITION with a kernel that takes n steps in one call, (v, n) to
-# v + n mod 2^64, so a set-up at any order runs each slot of 32 hashes or
-# more in one call, as md5's does
-POSITION_KERNEL = with_kernel(
-    POSITION, lambda v, n: ((int.from_bytes(v, "big") + n) % (1 << 64)).to_bytes(8, "big"))
 
 
 def peak_bytes(run):

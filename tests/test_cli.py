@@ -295,7 +295,7 @@ FAULTS = {
         good, _always, _flip_next_output)),
     "counter-decoding": (inplace, "decode_states", lambda good: _corrupt(
         good, _always, lambda found: [replace(d, phase=inplace.HASHING) for d in found])),
-    "inplace-scale": (inplace, "_frontier", _one_off_above_16),  # unseen at k <= 16
+    "max-order": (inplace, "_frontier", _one_off_above_16),  # unseen at k <= 16
 }
 
 

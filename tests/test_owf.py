@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainpebble import owf
+from chainpebble.checks import POSITION
 from chainpebble.owf import (
     OWF_NAMES,
     Owf,
@@ -29,6 +30,7 @@ from chainpebble.owf import (
     evaluate,
     iterate,
 )
+from harness import counting, widening
 
 # -- independent MD5 oracle ---------------------------------------------------
 
@@ -407,6 +409,14 @@ def test_md5_kernel_only_on_the_builtin_function():
     assert builtin("testmix64")._kernel is None
     assert builtin("davies-meyer-aes128")._kernel is None
     assert "kernel" not in repr(md5)
+
+
+@pytest.mark.parametrize("v,n", [(0, 1), (0, 31), (0, 32), (0, 1000), ((1 << 64) - 3, 5)])
+def test_position_fake_kernel_is_the_countdown(v, n):
+    # checks.POSITION's kernel, the one besides md5's; metered or wrapped, none
+    v = v.to_bytes(8, "big")
+    assert POSITION._kernel(v, n) == iterate(POSITION, v, n)
+    assert counting(POSITION)[0]._kernel is None and widening(POSITION)._kernel is None
 
 
 def _probe(code: str) -> list:

@@ -136,21 +136,6 @@ def test_storage_golden_columns(family):
     assert [row.storage for row in rows] == STORAGE_COLUMNS_K4[family]
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("k", range(1, 13))
-def test_storage_endpoints(family, k):
-    rows = run_trace(MIX, family, k, SEED)
-    assert rows[0].storage == 1
-    assert rows[(1 << k) - 1].storage == k + 1
-
-
-@pytest.mark.parametrize("k", range(13))
-def test_rushing_total_hashes(k):
-    rows = run_trace(MIX, "rushing", k, SEED)
-    want = k * (1 << (k - 1)) if k else 0
-    assert sum(row.hashes for row in rows) == want
-
-
 @pytest.mark.parametrize("family", DESCENDING)
 def test_trace_golden_digest(family):
     digest = hashlib.sha256()
